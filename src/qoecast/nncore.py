@@ -251,14 +251,13 @@ def reduce_sum(tape: Tape | None, x: Tensor, axis=None, keepdims: bool = False) 
 
 # ------------------------------------------------------------- nonlinearities
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # the tanh form cannot overflow for any |x| and needs no masks
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    xd = x.data
-    # piecewise form avoids overflow in exp for large |x|
-    pos = xd >= 0
-    y = np.empty_like(xd)
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid(x.data)
     out = Tensor(y)
     if tape is not None:
         def _back():
@@ -345,6 +344,157 @@ def layer_norm(tape: Tape | None, x: Tensor, eps: float = LAYER_NORM_EPS) -> Ten
             gm = np.mean(g, axis=-1, keepdims=True)
             gy = np.mean(g * y, axis=-1, keepdims=True)
             _accum(x, inv * (g - gm - y * gy))
+        tape.record(_back)
+    return out
+
+
+# --------------------------------------------------------- recurrent layers
+#
+# A layer runs a whole (batch, time, d) sequence from a zero state and
+# returns its (batch, time, units) states. The input projection is one
+# product for all steps; each step does the recurrent product and the gate
+# math on contiguous slabs. With a tape, the layer records one closure that
+# backpropagates through time: it fills the pre-activation gradient of
+# every step into one array, then forms the input-side gradients with one
+# product each (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
+
+def _check_recurrent(name: str, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
+                     gates: int) -> tuple[int, int, int]:
+    if x.data.ndim != 3 or x.data.shape[1] == 0 or U.data.ndim != 2:
+        raise ShapeMismatch(f"{name}: needs a (batch, time >= 1, d) input and a 2-D "
+                            f"recurrent kernel, got {x.data.shape} and {U.data.shape}")
+    units = U.data.shape[0]
+    width = gates * units
+    if (W.data.shape != (x.data.shape[2], width) or U.data.shape != (units, width)
+            or b.data.shape != (width,)):
+        raise ShapeMismatch(
+            f"{name}: input {x.data.shape}, kernel {W.data.shape}, recurrent "
+            f"{U.data.shape} and bias {b.data.shape} do not fit {gates} gates")
+    return x.data.shape[0], x.data.shape[1], units
+
+
+def _accum_inputs(x: Tensor, W: Tensor, b: Tensor, dgx: np.ndarray) -> None:
+    """Gradients of the projection x @ W + b from all steps' gate gradients."""
+    d, width = W.data.shape
+    _accum(W, x.data.reshape(-1, d).T @ dgx.reshape(-1, width))
+    _accum(b, dgx.sum(axis=(0, 1)))
+    _accum(x, dgx @ W.data.T)
+
+
+def gru_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """GRU layer, gate layout z|r|h: W (d, 3u), U (u, 3u), b (3u,).
+
+    Per step, with the reset gate applied before the candidate's
+    recurrent product:
+        z|r = sigmoid(x_t W_zr + h U_zr + b_zr)
+        c   = tanh(x_t W_h + (r * h) U_h + b_h)
+        h  <- h + z * (c - h)
+    """
+    B, T, u = _check_recurrent("gru_layer", x, W, U, b, 3)
+    gx = np.matmul(x.data, W.data) + b.data
+    U_zr, U_h = U.data[:, : 2 * u], U.data[:, 2 * u :]
+    h0 = np.zeros((B, u))
+    hs: list[np.ndarray] = []
+    zrs: list[np.ndarray] = []
+    cs: list[np.ndarray] = []
+    h = h0
+    for t in range(T):
+        a = gx[:, t]
+        zr = _sigmoid(a[:, : 2 * u] + h @ U_zr)
+        c = np.tanh(a[:, 2 * u :] + (zr[:, u:] * h) @ U_h)
+        h = h + zr[:, :u] * (c - h)
+        hs.append(h)
+        if tape is not None:
+            zrs.append(zr)
+            cs.append(c)
+    out = Tensor(np.stack(hs, axis=1))
+    if tape is not None:
+        def _back():
+            dhs = out.grad
+            dgx = np.empty_like(gx)
+            dU = np.zeros_like(U.data)
+            dh = h0
+            for t in range(T - 1, -1, -1):
+                h_prev = hs[t - 1] if t else h0
+                zr, c = zrs[t], cs[t]
+                z, r = zr[:, :u], zr[:, u:]
+                dh = dh + dhs[:, t]
+                dc = dh * z * (1.0 - c * c)
+                dq = dc @ U_h.T  # q = r * h_prev feeds the candidate
+                g = dgx[:, t]
+                g[:, 2 * u :] = dc
+                g[:, :u] = dh * (c - h_prev)
+                g[:, u : 2 * u] = dq * h_prev
+                g[:, : 2 * u] *= zr * (1.0 - zr)
+                dU[:, : 2 * u] += h_prev.T @ g[:, : 2 * u]
+                dU[:, 2 * u :] += (r * h_prev).T @ dc
+                dh = dh * (1.0 - z) + dq * r + g[:, : 2 * u] @ U_zr.T
+            _accum(U, dU)
+            _accum_inputs(x, W, b, dgx)
+        tape.record(_back)
+    return out
+
+
+def lstm_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """LSTM layer, gate layout i|f|g|o: W (d, 4u), U (u, 4u), b (4u,).
+
+    Per step:
+        i|f|o = sigmoid(x_t W + h U + b), g = tanh(x_t W_g + h U_g + b_g)
+        c    <- f * c + i * g
+        h     = o * tanh(c)
+    """
+    B, T, u = _check_recurrent("lstm_layer", x, W, U, b, 4)
+    gx = np.matmul(x.data, W.data) + b.data
+    # sigmoid(v) = tanh(v / 2) / 2 + 1/2, so one tanh covers all four gates:
+    # act = tanh(pre * s) * s + shift, with s = 1/2 on i|f|o and 1 on g
+    s = np.full(4 * u, 0.5)
+    s[2 * u : 3 * u] = 1.0
+    shift = np.full(4 * u, 0.5)
+    shift[2 * u : 3 * u] = 0.0
+    h0 = np.zeros((B, u))
+    hs: list[np.ndarray] = []
+    ths: list[np.ndarray] = []
+    acts: list[np.ndarray] = []
+    cs: list[np.ndarray] = []
+    tcs: list[np.ndarray] = []
+    h = c = h0
+    for t in range(T):
+        th = np.tanh((gx[:, t] + h @ U.data) * s)
+        act = th * s + shift
+        c = act[:, u : 2 * u] * c + act[:, :u] * act[:, 2 * u : 3 * u]
+        tc = np.tanh(c)
+        h = act[:, 3 * u :] * tc
+        hs.append(h)
+        if tape is not None:
+            ths.append(th)
+            acts.append(act)
+            cs.append(c)
+            tcs.append(tc)
+    out = Tensor(np.stack(hs, axis=1))
+    if tape is not None:
+        def _back():
+            dhs = out.grad
+            dgx = np.empty_like(gx)
+            dU = np.zeros_like(U.data)
+            slope = s * s  # d act / d pre = (1 - th^2) * s^2
+            dh = dc = h0
+            for t in range(T - 1, -1, -1):
+                h_prev = hs[t - 1] if t else h0
+                c_prev = cs[t - 1] if t else h0
+                act, tc = acts[t], tcs[t]
+                dh = dh + dhs[:, t]
+                dc = dc + dh * act[:, 3 * u :] * (1.0 - tc * tc)
+                g = dgx[:, t]
+                g[:, :u] = dc * act[:, 2 * u : 3 * u]
+                g[:, u : 2 * u] = dc * c_prev
+                g[:, 2 * u : 3 * u] = dc * act[:, :u]
+                g[:, 3 * u :] = dh * tc
+                g *= (1.0 - ths[t] * ths[t]) * slope
+                dU += h_prev.T @ g
+                dh = g @ U.data.T
+                dc = dc * act[:, u : 2 * u]
+            _accum(U, dU)
+            _accum_inputs(x, W, b, dgx)
         tape.record(_back)
     return out
 

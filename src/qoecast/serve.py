@@ -251,6 +251,8 @@ def _parse_stream_line(line: str, record_no: int) -> TelemetrySample:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRow(record_no, "record", f"invalid json: {exc.msg}") from None
+    except RecursionError:
+        raise MalformedRow(record_no, "record", "json nested too deeply") from None
     if not isinstance(obj, dict):
         raise MalformedRow(record_no, "record", "not an object")
     return _parse_record(obj, record_no)

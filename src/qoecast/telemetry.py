@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,19 +111,41 @@ class LoadResult:
 
 # ------------------------------------------------------------------ parsing
 
+# Every comparison is False for NaN and each upper bound excludes infinity,
+# so these checks also reject every non-finite value.
 _RANGE_CHECKS = {
-    "throughput_mbps": lambda v: v >= 0.0,
-    "jitter_ms": lambda v: v >= 0.0,
+    "throughput_mbps": lambda v: 0.0 <= v < math.inf,
+    "jitter_ms": lambda v: 0.0 <= v < math.inf,
     "loss_rate": lambda v: 0.0 <= v <= 1.0,
     "loss_count": lambda v: v >= 0,
-    "speed_kmh": lambda v: v >= 0.0,
+    "speed_kmh": lambda v: 0.0 <= v < math.inf,
 }
+
+
+def _integer(v) -> int:
+    """A strict integer: 12 and 12.0 pass; true, 1500.7 and inf do not."""
+    if isinstance(v, bool):
+        raise ValueError(f"not an integer: {v}")
+    if isinstance(v, int):
+        float(v)  # raises OverflowError for an int no window sum can hold
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass  # "12.0" and "1e3" still count when integral
+    parsed = float(v)
+    if not parsed.is_integer():  # also False for inf and nan
+        raise ValueError(f"not an integer: {v}")
+    return int(parsed)
 
 
 def _parse_record(raw: dict, record_no: int) -> TelemetrySample:
     """Validate one raw string/number mapping into a sample.
 
-    Raises MalformedRow naming the first offending field.
+    ts_ms and loss_count must be integers (integral floats pass); every
+    value must be finite and in range. Raises MalformedRow naming the
+    first offending field.
     """
     vals = {}
     for name in FIELD_NAMES:
@@ -130,16 +153,11 @@ def _parse_record(raw: dict, record_no: int) -> TelemetrySample:
             raise MalformedRow(record_no, name, "missing")
         v = raw[name]
         try:
-            if name == "ts_ms":
-                parsed = int(v)
-            elif name == "loss_count":
-                # tolerate float-formatted integers from JSON encoders
-                parsed = int(float(v))
-                if parsed != float(v):
-                    raise ValueError("not an integer")
+            if name == "ts_ms" or name == "loss_count":
+                parsed = _integer(v)
             else:
                 parsed = float(v)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedRow(record_no, name, str(exc)) from None
         vals[name] = parsed
     if vals["ts_ms"] < 0:

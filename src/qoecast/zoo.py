@@ -118,66 +118,14 @@ class RecurrentModel(ForecastModel):
         specs.extend(_dense_specs("out", top, 1))
         return specs
 
-    def _gru_layer(self, tape, params, li: int, x: Tensor, units: int) -> list[Tensor]:
-        B, T = x.data.shape[0], x.data.shape[1]
-        u = units
-        gx_all = nc.add(tape, nc.matmul(tape, x, params[f"gru{li}_kernel"]),
-                        params[f"gru{li}_bias"])
-        U = params[f"gru{li}_recurrent"]
-        U_zr = nc.slice_(tape, U, (slice(None), slice(0, 2 * u)))
-        U_h = nc.slice_(tape, U, (slice(None), slice(2 * u, 3 * u)))
-        h = Tensor(np.zeros((B, u)))
-        states = []
-        for t in range(T):
-            gx = nc.slice_(tape, gx_all, (slice(None), t))
-            rec = nc.matmul(tape, h, U_zr)
-            z = nc.sigmoid(tape, nc.add(
-                tape,
-                nc.slice_(tape, gx, (slice(None), slice(0, u))),
-                nc.slice_(tape, rec, (slice(None), slice(0, u)))))
-            r = nc.sigmoid(tape, nc.add(
-                tape,
-                nc.slice_(tape, gx, (slice(None), slice(u, 2 * u))),
-                nc.slice_(tape, rec, (slice(None), slice(u, 2 * u)))))
-            cand = nc.tanh(tape, nc.add(
-                tape,
-                nc.slice_(tape, gx, (slice(None), slice(2 * u, 3 * u))),
-                nc.matmul(tape, nc.mul(tape, r, h), U_h)))
-            # h' = (1 - z) * h + z * cand, written as h + z * (cand - h)
-            delta = nc.add(tape, cand, nc.mul(tape, h, -1.0))
-            h = nc.add(tape, h, nc.mul(tape, z, delta))
-            states.append(h)
-        return states
-
-    def _lstm_layer(self, tape, params, li: int, x: Tensor, units: int) -> list[Tensor]:
-        B, T = x.data.shape[0], x.data.shape[1]
-        u = units
-        gx_all = nc.add(tape, nc.matmul(tape, x, params[f"lstm{li}_kernel"]),
-                        params[f"lstm{li}_bias"])
-        U = params[f"lstm{li}_recurrent"]
-        h = Tensor(np.zeros((B, u)))
-        c = Tensor(np.zeros((B, u)))
-        states = []
-        for t in range(T):
-            gates = nc.add(tape, nc.slice_(tape, gx_all, (slice(None), t)),
-                           nc.matmul(tape, h, U))
-            i = nc.sigmoid(tape, nc.slice_(tape, gates, (slice(None), slice(0, u))))
-            f = nc.sigmoid(tape, nc.slice_(tape, gates, (slice(None), slice(u, 2 * u))))
-            g = nc.tanh(tape, nc.slice_(tape, gates, (slice(None), slice(2 * u, 3 * u))))
-            o = nc.sigmoid(tape, nc.slice_(tape, gates, (slice(None), slice(3 * u, 4 * u))))
-            c = nc.add(tape, nc.mul(tape, f, c), nc.mul(tape, i, g))
-            h = nc.mul(tape, o, nc.tanh(tape, c))
-            states.append(h)
-        return states
-
     def forward(self, params, x, tape=None, train=False, rng=None):
         self._check_input(x)
         seq = x
-        layer = self._gru_layer if self.cell == "gru" else self._lstm_layer
-        states: list[Tensor] = []
-        for li, units in enumerate(self.layer_units):
-            states = layer(tape, params, li, seq, units)
-            seq = nc.stack(tape, states, axis=1)
+        layer = nc.gru_layer if self.cell == "gru" else nc.lstm_layer
+        for li in range(len(self.layer_units)):
+            name = f"{self.cell}{li}"
+            seq = layer(tape, seq, params[f"{name}_kernel"], params[f"{name}_recurrent"],
+                        params[f"{name}_bias"])
             if li < len(self.layer_units) - 1 and self.dropout_rate > 0.0:
                 seq = nc.dropout(tape, seq, self.dropout_rate, train, rng)
 

@@ -13,8 +13,10 @@ from qoecast.nncore import (
     elu,
     glorot_uniform,
     gradient_check,
+    gru_layer,
     init_params,
     layer_norm,
+    lstm_layer,
     matmul,
     mul,
     orthogonal,
@@ -366,3 +368,112 @@ class TestGradientCheck:
             lambda p, x, tape: reduce_mean(tape, matmul(tape, x, p["w"])),
             params, rng.standard_normal((2, 10)), max_entries=7)
         assert rep.checked_entries == 7 + 7  # both tensors subsampled
+
+
+# ---------------------------------------------------------- recurrent layers
+
+def _logistic(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def _gru_reference(x, W, U, b):
+    """Step-by-step GRU, gates z|r|h, written out one gate at a time."""
+    B, T, _ = x.shape
+    u = U.shape[0]
+    h = np.zeros((B, u))
+    out = np.empty((B, T, u))
+    for t in range(T):
+        gx = x[:, t] @ W + b
+        z = _logistic(gx[:, :u] + h @ U[:, :u])
+        r = _logistic(gx[:, u : 2 * u] + h @ U[:, u : 2 * u])
+        cand = np.tanh(gx[:, 2 * u :] + (r * h) @ U[:, 2 * u :])
+        h = (1.0 - z) * h + z * cand
+        out[:, t] = h
+    return out
+
+
+def _lstm_reference(x, W, U, b):
+    """Step-by-step LSTM, gates i|f|g|o, written out one gate at a time."""
+    B, T, _ = x.shape
+    u = U.shape[0]
+    h = np.zeros((B, u))
+    c = np.zeros((B, u))
+    out = np.empty((B, T, u))
+    for t in range(T):
+        pre = x[:, t] @ W + h @ U + b
+        i = _logistic(pre[:, :u])
+        f = _logistic(pre[:, u : 2 * u])
+        g = np.tanh(pre[:, 2 * u : 3 * u])
+        o = _logistic(pre[:, 3 * u :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out[:, t] = h
+    return out
+
+
+LAYERS = {"gru": (gru_layer, _gru_reference, 3), "lstm": (lstm_layer, _lstm_reference, 4)}
+
+
+def _layer_params(rng, gates, d, units, n_layers=1):
+    params = {}
+    for li in range(n_layers):
+        params[f"W{li}"] = rng.standard_normal((d, gates * units)) * 0.5
+        params[f"U{li}"] = rng.standard_normal((units, gates * units)) * 0.5
+        params[f"b{li}"] = rng.standard_normal(gates * units) * 0.1
+        d = units
+    return params
+
+
+class TestRecurrentLayers:
+    @pytest.mark.parametrize("cell", sorted(LAYERS))
+    def test_forward_matches_stepwise_reference(self, cell, rng):
+        layer, reference, gates = LAYERS[cell]
+        p = _layer_params(rng, gates, d=6, units=8)
+        x = rng.standard_normal((7, 5, 6))
+        got = layer(None, Tensor(x), Tensor(p["W0"]), Tensor(p["U0"]), Tensor(p["b0"])).data
+        want = reference(x, p["W0"], p["U0"], p["b0"])
+        assert got.shape == (7, 5, 8)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("cell", sorted(LAYERS))
+    @pytest.mark.parametrize("batch", [2, 32])
+    def test_gradient_check_two_stacked_layers(self, cell, batch, rng):
+        layer = LAYERS[cell][0]
+        params = _layer_params(rng, LAYERS[cell][2], d=3, units=4, n_layers=2)
+        head = rng.standard_normal((batch, 5, 4))
+
+        def forward(p, x, tape):
+            h = layer(tape, x, p["W0"], p["U0"], p["b0"])
+            h = layer(tape, h, p["W1"], p["U1"], p["b1"])
+            return reduce_sum(tape, mul(tape, h, head))
+
+        rep = gradient_check(forward, params, rng.standard_normal((batch, 5, 3)))
+        assert rep.passed, rep.per_tensor
+        assert set(rep.per_tensor) == set(params) | {"__inputs__"}
+        assert rep.checked_entries >= 0.9 * (sum(a.size for a in params.values())
+                                             + min(batch * 15, 256))
+
+    @pytest.mark.parametrize("cell", sorted(LAYERS))
+    def test_records_one_op_and_nothing_without_tape(self, cell, rng):
+        layer, _, gates = LAYERS[cell]
+        p = {k: Tensor(v) for k, v in _layer_params(rng, gates, d=3, units=4).items()}
+        x = Tensor(rng.standard_normal((2, 5, 3)))
+        tape = Tape()
+        inference = layer(None, x, p["W0"], p["U0"], p["b0"])
+        assert len(tape) == 0
+        recorded = layer(tape, x, p["W0"], p["U0"], p["b0"])
+        assert len(tape) == 1
+        assert np.array_equal(inference.data, recorded.data)
+
+    @pytest.mark.parametrize("cell", sorted(LAYERS))
+    def test_shapes_checked(self, cell, rng):
+        layer, _, gates = LAYERS[cell]
+        p = {k: Tensor(v) for k, v in _layer_params(rng, gates, d=3, units=4).items()}
+        with pytest.raises(ShapeMismatch):
+            layer(None, Tensor(np.ones((2, 5, 4))), p["W0"], p["U0"], p["b0"])
+        with pytest.raises(ShapeMismatch):
+            layer(None, Tensor(np.ones((2, 3))), p["W0"], p["U0"], p["b0"])
+        with pytest.raises(ShapeMismatch):
+            layer(None, Tensor(np.ones((2, 0, 3))), p["W0"], p["U0"], p["b0"])
+        with pytest.raises(ShapeMismatch):
+            layer(None, Tensor(np.ones((2, 5, 3))), p["W0"], p["U0"], Tensor(np.ones(3)))

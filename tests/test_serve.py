@@ -240,6 +240,26 @@ class TestRunStream:
         assert summary["errors"] == 3
         assert summary["forecasts"] == 1  # the 50 good ticks still forecast
 
+    @pytest.mark.parametrize("bad", [
+        # json reads 1e400 as inf, which used to end the stream with OverflowError
+        '{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, "loss_rate": 0.01, '
+        '"loss_count": 1e400, "speed_kmh": 40.0}',
+        # deep nesting used to end the stream with RecursionError
+        "[" * 100000 + "]" * 100000,
+        '{"ts_ms": 0, "throughput_mbps": Infinity, "jitter_ms": 30.0, "loss_rate": 0.01, '
+        '"loss_count": 10, "speed_kmh": 40.0}',
+    ], ids=["overflow", "nesting", "infinity"])
+    def test_no_input_line_ends_the_stream(self, bad):
+        lines = [_line(i) for i in range(60)]
+        lines.insert(30, bad + "\n")
+        records, summary = self._run(lines)
+        errors = [r for r in records if "error" in r]
+        assert errors == [{"error": "MalformedRow", "record": 31,
+                           "detail": errors[0]["detail"]}]
+        assert records[-1] == {"summary": summary}
+        assert summary["ticks"] == 60 and summary["errors"] == 1
+        assert summary["forecasts"] == 2
+
     def test_blank_lines_ignored(self):
         lines = [_line(i) for i in range(50)]
         lines.insert(5, "\n")

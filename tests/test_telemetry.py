@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,73 @@ class TestLoadValidation:
         p.write_text("idx,score\n0,50\n")
         with pytest.raises(MalformedRow):
             load_labels(p)
+
+
+def _ndjson_record(**kw):
+    rec = {"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, "loss_rate": 0.01,
+           "loss_count": 10, "speed_kmh": 40.0}
+    rec.update(kw)
+    return json.dumps(rec)
+
+
+class TestNumericStrictness:
+    def test_ndjson_infinity_rejected(self, tmp_path):
+        # NDJSON Infinity used to parse to inf and skew five forecasts
+        p = tmp_path / "t.ndjson"
+        p.write_text('{"ts_ms": 0, "throughput_mbps": Infinity, "jitter_ms": 30.0, '
+                     '"loss_rate": 0.01, "loss_count": 10, "speed_kmh": 40.0}\n')
+        with pytest.raises(MalformedRow) as e:
+            load_trace(p)
+        assert e.value.field == "throughput_mbps"
+
+    @pytest.mark.parametrize("field", ["jitter_ms", "loss_rate", "speed_kmh", "qoe"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_ndjson_non_finite_rejected_in_every_float_field(self, tmp_path, field, value):
+        p = tmp_path / "t.ndjson"
+        p.write_text(_ndjson_record(**{field: value}) + "\n")
+        with pytest.raises(MalformedRow) as e:
+            load_trace(p)
+        assert e.value.field == field
+
+    @pytest.mark.parametrize("row,field", [
+        ("0,inf,15,0.01,10,30", "throughput_mbps"),
+        ("0,20,nan,0.01,10,30", "jitter_ms"),
+        ("0,20,15,0.01,10,-inf", "speed_kmh"),
+        ("0,20,15,0.01,inf,30", "loss_count"),
+        ("0,20,15,0.01,10,30,nan", "qoe"),
+    ])
+    def test_csv_inf_and_nan_rejected(self, tmp_path, row, field):
+        p = tmp_path / "t.csv"
+        p.write_text(CSV_HEADER + ",qoe\n" + row + "\n")
+        with pytest.raises(MalformedRow) as e:
+            load_trace(p)
+        assert e.value.field == field
+
+    @pytest.mark.parametrize("kw,field", [
+        ({"ts_ms": True}, "ts_ms"),
+        ({"ts_ms": 1500.7}, "ts_ms"),
+        ({"loss_count": False}, "loss_count"),
+        ({"loss_count": 10.5}, "loss_count"),
+        ({"loss_count": 10 ** 400}, "loss_count"),
+    ])
+    def test_strict_integers(self, tmp_path, kw, field):
+        # a float timestamp used to be truncated, and true read as 1
+        p = tmp_path / "t.ndjson"
+        p.write_text(_ndjson_record(**kw) + "\n")
+        with pytest.raises(MalformedRow) as e:
+            load_trace(p)
+        assert e.value.field == field
+
+    def test_integral_floats_accepted_for_integer_fields(self, tmp_path):
+        p = tmp_path / "t.ndjson"
+        p.write_text(_ndjson_record(ts_ms=1500.0, loss_count=10.0) + "\n")
+        s = load_trace(p).trace.samples[0]
+        assert (s.ts_ms, s.loss_count) == (1500, 10)
+        assert type(s.ts_ms) is int and type(s.loss_count) is int
+        c = tmp_path / "t.csv"
+        c.write_text(CSV_HEADER + "\n1500.0,20,15,0.01,10.0,30\n2000,20,15,0.01,1e1,30\n")
+        assert [(s.ts_ms, s.loss_count) for s in load_trace(c).trace.samples] == \
+            [(1500, 10), (2000, 10)]
 
 
 class TestValidateTrace:
