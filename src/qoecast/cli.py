@@ -92,14 +92,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_traces(data_dir: Path, fmt_hint: str | None = None):
+def _load_traces(data_dir: Path):
     traces = []
     paths = sorted(list(data_dir.glob("trace_*.csv")) + list(data_dir.glob("trace_*.ndjson")))
     if not paths:
         raise QoecastError(f"no trace_*.csv / trace_*.ndjson files in {data_dir}")
     for p in paths:
         labels = data_dir / p.name.replace("trace_", "labels_").replace(p.suffix, ".csv")
-        res = load_trace(p, fmt=fmt_hint, labels_path=labels if labels.exists() else None)
+        res = load_trace(p, labels_path=labels if labels.exists() else None)
         traces.append(res.trace)
     return traces
 

@@ -64,6 +64,19 @@ def _test_arrays(dataset: PreparedDataset):
     return X, y
 
 
+def _metrics(variant_id: str, model_class: str, dataset: PreparedDataset,
+             preds: np.ndarray, y: np.ndarray) -> MetricsReport:
+    """MAE and RMSE in QoE units of scaled predictions against scaled targets."""
+    errors = (inverse_target(dataset.scaler, preds)
+              - inverse_target(dataset.scaler, y))
+    abs_errors = np.abs(errors)
+    mae = float(abs_errors.mean())
+    rmse = float(np.sqrt(np.mean(errors * errors)))
+    assert rmse >= mae - 1e-9, "rmse below mae: metric computation is broken"
+    return MetricsReport(variant_id=variant_id, model_class=model_class, mae=mae,
+                         rmse=rmse, n_test=len(y), abs_errors=abs_errors)
+
+
 def evaluate(bundle: ModelBundle, dataset: PreparedDataset,
              batch_size: int = 256) -> MetricsReport:
     """Test-split MAE and RMSE in QoE units for one bundle.
@@ -79,37 +92,13 @@ def evaluate(bundle: ModelBundle, dataset: PreparedDataset,
     preds = np.concatenate([
         runner.predict(X[i : i + batch_size])[0] for i in range(0, len(X), batch_size)
     ])
-    errors = (inverse_target(dataset.scaler, preds)
-              - inverse_target(dataset.scaler, y))
-    abs_errors = np.abs(errors)
-    mae = float(abs_errors.mean())
-    rmse = float(np.sqrt(np.mean(errors * errors)))
-    assert rmse >= mae - 1e-9, "rmse below mae: metric computation is broken"
-    return MetricsReport(
-        variant_id=bundle.variant_id,
-        model_class=model_class_of(bundle.variant_id),
-        mae=mae,
-        rmse=rmse,
-        n_test=len(X),
-        abs_errors=abs_errors,
-    )
+    return _metrics(bundle.variant_id, model_class_of(bundle.variant_id), dataset, preds, y)
 
 
 def evaluate_baseline(dataset: PreparedDataset) -> MetricsReport:
     """Same metrics for the carry-forward baseline (predict last window's QoE)."""
     X, y = _test_arrays(dataset)
-    preds = last_value_baseline(X)
-    errors = (inverse_target(dataset.scaler, preds)
-              - inverse_target(dataset.scaler, y))
-    abs_errors = np.abs(errors)
-    return MetricsReport(
-        variant_id="last_value",
-        model_class="baseline",
-        mae=float(abs_errors.mean()),
-        rmse=float(np.sqrt(np.mean(errors * errors))),
-        n_test=len(X),
-        abs_errors=abs_errors,
-    )
+    return _metrics("last_value", "baseline", dataset, last_value_baseline(X), y)
 
 
 def benchmark_latency(bundle: ModelBundle, batch_size: int = LATENCY_BATCH,
@@ -197,6 +186,11 @@ class LatencyBudget:
     downlink_ms: float = 20.0
     render_ms: float = 7.0
 
+    def __post_init__(self):
+        for name in ("inference_ms", "capture_ms", "uplink_ms", "downlink_ms", "render_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+
     @property
     def total_ms(self) -> float:
         return (self.inference_ms + self.capture_ms + self.uplink_ms
@@ -210,9 +204,4 @@ class LatencyBudget:
 def latency_budget(inference_ms: float, capture_ms: float = 18.0,
                    uplink_ms: float = 20.0, downlink_ms: float = 20.0,
                    render_ms: float = 7.0) -> LatencyBudget:
-    for name, v in [("inference_ms", inference_ms), ("capture_ms", capture_ms),
-                    ("uplink_ms", uplink_ms), ("downlink_ms", downlink_ms),
-                    ("render_ms", render_ms)]:
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative")
     return LatencyBudget(inference_ms, capture_ms, uplink_ms, downlink_ms, render_ms)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .nncore import Tape, Tensor
 from .pipeline import FEATURE_NAMES
-from .zoo import ModelBundle, build_variant
+from .zoo import ModelBundle, build_variant, params64
 
 IG_STEPS = 64
 LIME_SAMPLES = 500
@@ -37,10 +37,6 @@ def _check_input(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
     if x.shape != expected:
         raise ShapeMismatch(f"expected input shape {expected}, got {x.shape}")
     return x
-
-
-def _params64(bundle: ModelBundle) -> dict[str, Tensor]:
-    return {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in bundle.params.items()}
 
 
 @dataclass
@@ -82,14 +78,14 @@ def integrated_gradients(bundle: ModelBundle, x: np.ndarray,
     baseline = (np.zeros_like(x) if baseline is None
                 else _check_input(bundle, baseline))
     model = build_variant(bundle.variant_id)
-    params = _params64(bundle)
+    params = params64(bundle)
     diff = x - baseline
 
     both, _ = model.forward(params, Tensor(np.stack([x, baseline])), tape=None)
     pred, base_pred = float(both.data[0]), float(both.data[1])
 
     if model.model_class == "linear":
-        w = np.asarray(bundle.params["weights"], dtype=np.float64).reshape(x.shape)
+        w = params["weights"].data.reshape(x.shape)
         values = w * diff
         gap = abs(float(values.sum()) - (pred - base_pred))
         return Attribution(bundle.variant_id, "integrated_gradients_exact",
@@ -132,7 +128,7 @@ def attention_map(bundle: ModelBundle, x: np.ndarray) -> AttentionMap:
     if not model.has_attention:
         raise NoAttentionComponent(
             f"{bundle.variant_id} ({model.model_class}) has no attention weights")
-    pred, aux = model.forward(_params64(bundle), Tensor(x[None]), tape=None)
+    pred, aux = model.forward(params64(bundle), Tensor(x[None]), tape=None)
     weights = aux["attention"][0]
     return AttentionMap(bundle.variant_id, weights, float(pred.data[0]))
 
@@ -167,7 +163,7 @@ def lime_local(bundle: ModelBundle, x: np.ndarray, n_samples: int = LIME_SAMPLES
         raise ValueError("n_samples must be at least 2")
     x = _check_input(bundle, x)
     model = build_variant(bundle.variant_id)
-    params = _params64(bundle)
+    params = params64(bundle)
     rng = np.random.default_rng(seed)
 
     flat = x.reshape(-1)

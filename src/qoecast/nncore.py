@@ -173,33 +173,6 @@ def concat(tape: Tape | None, parts: Sequence[Tensor], axis: int) -> Tensor:
     return out
 
 
-def stack(tape: Tape | None, parts: Sequence[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ShapeMismatch("stack of zero tensors")
-    try:
-        out = Tensor(np.stack([p.data for p in parts], axis=axis))
-    except ValueError as exc:
-        raise ShapeMismatch(f"stack: {exc}") from None
-    if tape is not None:
-        def _back():
-            for i, p in enumerate(parts):
-                _accum(p, np.take(out.grad, i, axis=axis))
-        tape.record(_back)
-    return out
-
-
-def slice_(tape: Tape | None, x: Tensor, key) -> Tensor:
-    """Basic slicing (slices and ints only). Backward scatters into zeros."""
-    out = Tensor(x.data[key])
-    if tape is not None:
-        def _back():
-            g = np.zeros_like(x.data)
-            g[key] += out.grad
-            _accum(x, g)
-        tape.record(_back)
-    return out
-
-
 def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
     try:
         out = Tensor(x.data.reshape(shape))
@@ -254,16 +227,6 @@ def reduce_sum(tape: Tape | None, x: Tensor, axis=None, keepdims: bool = False) 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # the tanh form cannot overflow for any |x| and needs no masks
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
-    out = Tensor(y)
-    if tape is not None:
-        def _back():
-            _accum(x, out.grad * y * (1.0 - y))
-        tape.record(_back)
-    return out
 
 
 def tanh(tape: Tape | None, x: Tensor) -> Tensor:

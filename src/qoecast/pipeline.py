@@ -1,10 +1,12 @@
 """Feature pipeline: windows, scaling, context sequences, chronological split.
 
-Ticks are aggregated into fixed, non-overlapping windows; each window becomes
-a 6-feature vector whose last entry is the window's QoE (so models see QoE
-history as an autoregressive input). Min-max scaling is fitted on training
-windows only. A model input is the 5-window context preceding the target
-window; targets are the scaled QoE of the next window.
+Ticks are aggregated into fixed, non-overlapping windows by
+telemetry.WindowAggregator, the same rule serve applies live; each window
+becomes a 6-feature vector whose last entry is the window's QoE (so models
+see QoE history as an autoregressive input). Min-max scaling is fitted on
+training windows only. A model input is the 5-window context preceding the
+target window; targets are the scaled QoE of the next window. build_dataset
+finds the sequences, orders them and cuts the split in one pass.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .errors import (
     TooFewSequences,
     TraceTooShort,
 )
-from .synthgen import qoe_oracle
-from .telemetry import Trace, fmt_float
+from .synthgen import window_qoe
+from .telemetry import MIN_WINDOW_COVERAGE, Trace, WindowAggregator
 
 FEATURE_NAMES = (
     "thr_mean_mbps",
@@ -40,7 +42,6 @@ DEFAULT_WINDOW_S = 10
 DEFAULT_CONTEXT = 5
 DEFAULT_HORIZON = 1
 DEFAULT_FRACTIONS = (0.70, 0.10, 0.20)
-MIN_WINDOW_COVERAGE = 0.8
 MIN_SEQUENCES = 10
 
 
@@ -63,49 +64,32 @@ class WindowingResult:
 
 
 def window_trace(trace: Trace, window_s: int = DEFAULT_WINDOW_S) -> WindowingResult:
-    """Aggregate a trace into consecutive windows.
+    """Aggregate a trace into consecutive windows with the shared
+    telemetry.WindowAggregator, the rule serve applies live.
 
-    Windows missing more than 20% of their expected ticks are dropped and
-    reported. QoE comes from the trace's labels when present, otherwise from
-    the oracle over the window's mean link stats, chained through the
-    previous kept window.
+    Dropped windows are reported with their reason: "k/n ticks" under 80 %
+    coverage, "non-finite" for an overflowing mean, and "k empty" at the
+    first of k empty window slots. QoE comes from the trace's labels when
+    present, otherwise from the oracle over the window's means, chained
+    through the previous kept window.
     """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    window_ms = window_s * 1000
-    expected = round(window_s / trace.tick_s)
-    if expected < 1:
-        raise ValueError("window shorter than one tick")
-
-    by_window: dict[int, list] = {}
-    for s in trace.samples:
-        by_window.setdefault(s.ts_ms // window_ms, []).append(s)
-
     labels = trace.label_map()
     windows: list[WindowFeatures] = []
     dropped: list[tuple[int, str]] = []
     prev_qoe: float | None = None
-    for w in sorted(by_window):
-        ticks = by_window[w]
-        if len(ticks) < MIN_WINDOW_COVERAGE * expected:
-            dropped.append((int(w), f"{len(ticks)}/{expected} ticks"))
+    for win in WindowAggregator(window_s, trace.tick_s).windows(trace.samples):
+        if win.skipped:
+            dropped.append((win.index - win.skipped, f"{win.skipped} empty"))
+        if win.dropped is not None:
+            dropped.append((win.index, win.dropped))
             continue
-        thr = float(np.mean([t.throughput_mbps for t in ticks]))
-        jit = float(np.mean([t.jitter_ms for t in ticks]))
-        loss = float(np.mean([t.loss_rate for t in ticks]))
-        loss_count = float(sum(t.loss_count for t in ticks))
-        speed = float(np.mean([t.speed_kmh for t in ticks]))
-        if w in labels:
-            q = labels[w]
-        else:
-            q = qoe_oracle(thr, loss * 100.0, jit, prev_qoe)
-        prev_qoe = q
-        feats = np.array([thr, jit, loss, loss_count, speed, q], dtype=np.float64)
-        windows.append(WindowFeatures(window_index=int(w), features=feats))
+        prev_qoe = window_qoe(win, prev_qoe, labels.get(win.index))
+        feats = np.array((*win.link, prev_qoe), dtype=np.float64)
+        windows.append(WindowFeatures(window_index=win.index, features=feats))
     if not windows:
         raise NoCompleteWindow(
-            f"trace {trace.trace_id!r}: no window reached "
-            f"{MIN_WINDOW_COVERAGE:.0%} tick coverage"
+            f"trace {trace.trace_id!r}: no window kept (each needs "
+            f"{MIN_WINDOW_COVERAGE:.0%} tick coverage and finite means)"
         )
     return WindowingResult(windows=windows, dropped=dropped)
 
@@ -211,52 +195,6 @@ class SequenceSample:
     target_ts_ms: int
 
 
-def make_sequences(
-    windows: list[WindowFeatures],
-    scaled: np.ndarray,
-    scaled_targets: np.ndarray,
-    trace_id: str,
-    window_s: int = DEFAULT_WINDOW_S,
-    context: int = DEFAULT_CONTEXT,
-    horizon: int = DEFAULT_HORIZON,
-    ts_offset_ms: int = 0,
-) -> list[SequenceSample]:
-    """Slide a context window (stride 1) over runs of consecutive windows.
-
-    scaled/scaled_targets are aligned with windows. A sequence never spans a
-    gap in window indices, so dropped windows break runs. Raises
-    TraceTooShort when the trace yields no sequence at all.
-    """
-    if len(windows) != len(scaled) or len(windows) != len(scaled_targets):
-        raise ValueError("windows and scaled arrays must align")
-    need = context + horizon
-    out: list[SequenceSample] = []
-    window_ms = window_s * 1000
-    n = len(windows)
-    for i in range(n - need + 1):
-        first = windows[i].window_index
-        # consecutive indices only: no dropped window inside the span
-        if windows[i + need - 1].window_index - first != need - 1:
-            continue
-        inputs = scaled[i : i + context].copy()
-        target = float(scaled_targets[i + context + horizon - 1])
-        target_idx = windows[i + context + horizon - 1].window_index
-        out.append(
-            SequenceSample(
-                inputs=inputs,
-                target=target,
-                origin=(trace_id, first),
-                target_ts_ms=ts_offset_ms + target_idx * window_ms,
-            )
-        )
-    if not out:
-        raise TraceTooShort(
-            f"trace {trace_id!r}: {n} usable windows give no "
-            f"{context}+{horizon}-window sequence"
-        )
-    return out
-
-
 @dataclass
 class DatasetSplit:
     """Chronological train/val/test partition of sequences."""
@@ -266,31 +204,6 @@ class DatasetSplit:
     test: list[SequenceSample]
     train_end_ts_ms: int
     val_end_ts_ms: int
-
-
-def chrono_split(
-    sequences: list[SequenceSample],
-    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-) -> DatasetSplit:
-    """Order by target timestamp and cut 70/10/20 (floor, remainder to test)."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative and sum to 1: {fractions}")
-    n = len(sequences)
-    if n < MIN_SEQUENCES:
-        raise TooFewSequences(f"got {n} sequences, need at least {MIN_SEQUENCES}")
-    ordered = sorted(sequences, key=lambda s: s.target_ts_ms)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
-    train = ordered[:n_train]
-    val = ordered[n_train : n_train + n_val]
-    test = ordered[n_train + n_val :]
-    return DatasetSplit(
-        train=train,
-        val=val,
-        test=test,
-        train_end_ts_ms=train[-1].target_ts_ms if train else -1,
-        val_end_ts_ms=val[-1].target_ts_ms if val else -1,
-    )
 
 
 # ------------------------------------------------------------ full assembly
@@ -327,65 +240,83 @@ def build_dataset(
     """Window traces, split chronologically, fit the scaler on training
     windows only, and emit scaled sequences.
 
-    Traces are laid on a global timeline in input order (each offset by the
-    cumulative span of its predecessors) so the chronological split is well
-    defined across traces. The scaler sees exactly the windows referenced by
-    training sequences, then everything is scaled with it; leakage from val
-    or test windows is structurally impossible.
+    A sequence is context consecutive windows (stride 1) and the window
+    horizon steps after them; it never spans a dropped window. Traces are
+    laid on a global timeline in input order (each offset by the cumulative
+    span of its predecessors). Sequences are ordered by target timestamp
+    and cut by fractions (floor, remainder to test). The scaler sees exactly
+    the windows referenced by training sequences, then everything is scaled
+    with it; leakage from val or test windows is structurally impossible.
+    Raises TooFewSequences under MIN_SEQUENCES sequences in all, then
+    TraceTooShort when any one trace yields none.
     """
     if not traces:
         raise InsufficientData("no traces given")
+    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
+        raise ValueError(f"fractions must be non-negative and sum to 1: {fractions}")
     window_ms = window_s * 1000
-
-    per_trace: list[tuple[Trace, list[WindowFeatures], int]] = []
-    dropped: list[tuple[str, int, str]] = []
-    offset = 0
-    for tr in traces:
-        res = window_trace(tr, window_s)
-        per_trace.append((tr, res.windows, offset))
-        dropped.extend((tr.trace_id, w, why) for w, why in res.dropped)
-        n_windows = int(tr.samples[-1].ts_ms // window_ms) + 1
-        offset += n_windows * window_ms
-
-    # raw sequence skeletons: (trace slot, start idx, target_ts)
     need = context + horizon
-    skeletons: list[tuple[int, int, int]] = []
-    for slot, (tr, windows, off) in enumerate(per_trace):
+
+    per_trace: list[list[WindowFeatures]] = []
+    starts: list[tuple[int, int, int]] = []  # (target_ts_ms, trace slot, first window)
+    dropped: list[tuple[str, int, str]] = []
+    too_short: list[tuple[str, int]] = []
+    offset = 0
+    for slot, tr in enumerate(traces):
+        res = window_trace(tr, window_s)
+        windows = res.windows
+        per_trace.append(windows)
+        dropped.extend((tr.trace_id, w, why) for w, why in res.dropped)
+        found = len(starts)
         for i in range(len(windows) - need + 1):
-            if windows[i + need - 1].window_index - windows[i].window_index != need - 1:
-                continue
-            target_idx = windows[i + context + horizon - 1].window_index
-            skeletons.append((slot, i, off + target_idx * window_ms))
-    if len(skeletons) < MIN_SEQUENCES:
+            # consecutive indices only: no dropped window inside the span
+            if windows[i + need - 1].window_index - windows[i].window_index == need - 1:
+                starts.append((offset + windows[i + need - 1].window_index * window_ms, slot, i))
+        if len(starts) == found:
+            too_short.append((tr.trace_id, len(windows)))
+        offset += (tr.samples[-1].ts_ms // window_ms + 1) * window_ms
+    if len(starts) < MIN_SEQUENCES:
         raise TooFewSequences(
-            f"got {len(skeletons)} sequences across {len(traces)} traces, "
+            f"got {len(starts)} sequences across {len(traces)} traces, "
             f"need at least {MIN_SEQUENCES}"
         )
-    skeletons.sort(key=lambda s: s[2])
-    n = len(skeletons)
-    n_train = int(n * fractions[0])
-
-    train_windows: list[WindowFeatures] = []
-    seen: set[tuple[int, int]] = set()
-    for slot, i, _ in skeletons[:n_train]:
-        _, windows, _ = per_trace[slot]
-        for j in range(i, i + need):
-            key = (slot, j)
-            if key not in seen:
-                seen.add(key)
-                train_windows.append(windows[j])
-    scaler = fit_scaler(train_windows)
-
-    sequences: list[SequenceSample] = []
-    for tr, windows, off in per_trace:
-        raw = np.stack([w.features for w in windows])
-        scaled = scale_features(scaler, raw)
-        targets = scale_target(scaler, raw[:, QOE_FEATURE])
-        sequences.extend(
-            make_sequences(windows, scaled, targets, tr.trace_id, window_s,
-                           context, horizon, ts_offset_ms=off)
+    if too_short:
+        trace_id, n = too_short[0]
+        raise TraceTooShort(
+            f"trace {trace_id!r}: {n} usable windows give no "
+            f"{context}+{horizon}-window sequence"
         )
-    split = chrono_split(sequences, fractions)
+    starts.sort()
+    n = len(starts)
+    n_train = int(n * fractions[0])
+    n_val = int(n * fractions[1])
+
+    used = {(slot, j) for _, slot, i in starts[:n_train] for j in range(i, i + need)}
+    scaler = fit_scaler([per_trace[slot][j] for slot, j in used])
+    scaled, targets = [], []
+    for windows in per_trace:
+        raw = np.stack([w.features for w in windows])
+        scaled.append(scale_features(scaler, raw))
+        targets.append(scale_target(scaler, raw[:, QOE_FEATURE]))
+
+    sequences = [
+        SequenceSample(
+            inputs=scaled[slot][i : i + context].copy(),
+            target=float(targets[slot][i + need - 1]),
+            origin=(traces[slot].trace_id, per_trace[slot][i].window_index),
+            target_ts_ms=ts,
+        )
+        for ts, slot, i in starts
+    ]
+    train = sequences[:n_train]
+    val = sequences[n_train : n_train + n_val]
+    split = DatasetSplit(
+        train=train,
+        val=val,
+        test=sequences[n_train + n_val :],
+        train_end_ts_ms=train[-1].target_ts_ms if train else -1,
+        val_end_ts_ms=val[-1].target_ts_ms if val else -1,
+    )
     return PreparedDataset(
         split=split,
         scaler=scaler,

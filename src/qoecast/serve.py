@@ -6,11 +6,13 @@ the ring is full every further completed window produces a one-window-ahead
 QoE forecast plus a feedback action. The first decision therefore lands
 exactly when the fifth window completes.
 
+Windows come from telemetry.WindowAggregator, the rule the offline pipeline
+applies too, so a served window's link features equal the prepared ones.
 The window's own QoE feature comes from measured in-band values when the
 stream carries them, else from the previous forecast, else from the QoE
-oracle over the window's means. Windows with under 80% tick coverage (or
-wholly missing window slots) break context continuity and clear the ring,
-the same rule the offline pipeline applies to sequences.
+oracle over the window's means (synthgen.window_qoe). Dropped windows
+(under 80% tick coverage or a non-finite mean) and empty window slots break
+context continuity and clear the ring, as gaps break offline sequences.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 
 from .errors import MalformedRow, OutOfOrderSample, QoecastError, ScalerMissing
 from .explain import integrated_gradients
-from .pipeline import MIN_WINDOW_COVERAGE, inverse_target, scale_features
-from .synthgen import qoe_oracle
-from .telemetry import TelemetrySample, _parse_record
+from .pipeline import inverse_target, scale_features
+from .synthgen import window_qoe
+from .telemetry import TelemetrySample, Window, WindowAggregator, _parse_record
 from .zoo import BundleRunner, ModelBundle
 
 ACTIONS = ("none", "reduce_bitrate", "alert")
@@ -105,30 +107,6 @@ class ForecastDecision:
 
 
 @dataclass
-class _WindowAccum:
-    index: int
-    ticks: int = 0
-    thr_sum: float = 0.0
-    jitter_sum: float = 0.0
-    loss_rate_sum: float = 0.0
-    loss_count_sum: float = 0.0
-    speed_sum: float = 0.0
-    qoe_sum: float = 0.0
-    qoe_ticks: int = 0
-
-    def add(self, s: TelemetrySample) -> None:
-        self.ticks += 1
-        self.thr_sum += s.throughput_mbps
-        self.jitter_sum += s.jitter_ms
-        self.loss_rate_sum += s.loss_rate
-        self.loss_count_sum += s.loss_count
-        self.speed_sum += s.speed_kmh
-        if s.qoe is not None:
-            self.qoe_sum += s.qoe
-            self.qoe_ticks += 1
-
-
-@dataclass
 class StreamStats:
     ticks: int = 0
     windows: int = 0
@@ -150,11 +128,9 @@ class StreamState:
         self.tick_s = tick_s
         self.runner = BundleRunner(bundle)
         self.window_ms = bundle.window_s * 1000
-        self.expected_ticks = round(bundle.window_s / tick_s)
         self.context_len = bundle.context_len
+        self._windows = WindowAggregator(bundle.window_s, tick_s)
         self._ring: deque[np.ndarray] = deque(maxlen=bundle.context_len)
-        self._accum: _WindowAccum | None = None
-        self._next_window: int | None = None  # expected index of the next window slot
         self._last_ts: int | None = None
         self._prev_window_qoe: float | None = None
         self.last_prediction: float | None = None
@@ -171,59 +147,34 @@ class StreamState:
                 f"ts_ms {sample.ts_ms} not after {self._last_ts}")
         self._last_ts = sample.ts_ms
         self.stats.ticks += 1
-
-        w = int(sample.ts_ms // self.window_ms)
         decision = None
-        if self._accum is not None and w > self._accum.index:
-            # gappy window closed by the first tick beyond its boundary
-            decision = self._finalize(self._accum)
-            self._accum = None
-        if self._accum is None:
-            if self._next_window is not None and w > self._next_window:
-                # empty window slots in between: context continuity is gone
-                self.stats.dropped_windows += w - self._next_window
-                self._ring.clear()
-            self._accum = _WindowAccum(index=w)
-        self._accum.add(sample)
-        if self._accum.ticks == self.expected_ticks:
-            inner = self._finalize(self._accum)
-            decision = inner if inner is not None else decision
-            self._accum = None
+        for win in self._windows.add(sample):
+            decision = self._finalize(win) or decision
         return decision
 
     def flush(self) -> ForecastDecision | None:
         """Finalize a pending partial window at stream end."""
-        if self._accum is None:
-            return None
-        decision = self._finalize(self._accum)
-        self._accum = None
+        decision = None
+        for win in self._windows.flush():
+            decision = self._finalize(win)
         return decision
 
-    def _finalize(self, acc: _WindowAccum) -> ForecastDecision | None:
-        self._next_window = acc.index + 1
-        if acc.ticks < MIN_WINDOW_COVERAGE * self.expected_ticks:
+    def _finalize(self, win: Window) -> ForecastDecision | None:
+        if win.skipped:
+            # empty window slots in between: context continuity is gone
+            self.stats.dropped_windows += win.skipped
+            self._ring.clear()
+        if win.dropped is not None:
             self.stats.dropped_windows += 1
             self._ring.clear()
             return None
-        n = acc.ticks
-        thr = acc.thr_sum / n
-        jitter = acc.jitter_sum / n
-        loss_rate = acc.loss_rate_sum / n
-        speed = acc.speed_sum / n
-        if acc.qoe_ticks > 0:
-            qoe = acc.qoe_sum / acc.qoe_ticks
-        elif self.last_prediction is not None:
-            qoe = self.last_prediction
-        else:
-            qoe = qoe_oracle(thr, loss_rate * 100.0, jitter, self._prev_window_qoe)
+        qoe = window_qoe(win, self._prev_window_qoe, win.qoe, self.last_prediction)
         self._prev_window_qoe = qoe
-        self._ring.append(np.array(
-            [thr, jitter, loss_rate, acc.loss_count_sum, speed, qoe],
-            dtype=np.float64))
+        self._ring.append(np.array((*win.link, qoe), dtype=np.float64))
         self.stats.windows += 1
         if len(self._ring) < self.context_len:
             return None
-        return self._forecast(acc.index)
+        return self._forecast(win.index)
 
     def _forecast(self, window_index: int) -> ForecastDecision:
         raw = np.stack(self._ring)

@@ -10,9 +10,11 @@ configured bounds for any seed. Vehicle speed follows a clamped Gaussian
 random walk and feeds back into the chain: the faster the vehicle, the more
 likely a handover episode.
 
-Labels are produced per window by a closed-form QoE oracle over the window's
-mean link stats, smoothed against the previous window's label and perturbed
-with clamped Gaussian noise.
+Labels are produced per whole window by a closed-form QoE oracle over the
+window's mean link stats, smoothed against the previous window's label and
+perturbed with clamped Gaussian noise. The means come from
+telemetry.WindowAggregator, the window rule pipeline and serve apply too,
+and window_qoe is the QoE fallback chain both of them use.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidConfig, SpanOutOfRange
 from .seeding import derive_seed
-from .telemetry import TelemetrySample, Trace
+from .telemetry import TelemetrySample, Trace, Window, WindowAggregator
 
 # Oracle constants. thr saturates at 25 Mbps; loss is penalized per percent;
 # jitter is free below 20 ms. Smoothing leans 70/30 toward the current window.
@@ -224,28 +226,38 @@ def _draw_sample(rng: np.random.Generator, config: GeneratorConfig, state: LinkS
     )
 
 
-def _window_means(samples: list[TelemetrySample]) -> tuple[float, float, float]:
-    n = len(samples)
-    thr = sum(s.throughput_mbps for s in samples) / n
-    loss_pct = sum(s.loss_rate for s in samples) / n * 100.0
-    jitter = sum(s.jitter_ms for s in samples) / n
-    return thr, loss_pct, jitter
+def window_qoe(win: Window, prev_qoe: float | None, known: float | None,
+               last_forecast: float | None = None) -> float:
+    """QoE feature of a kept window, the one fallback chain.
+
+    The known value (a label offline, the in-band mean live) wins; else the
+    last forecast, when a live stream has one; else the oracle over the
+    window's means, chained on the previous kept window's QoE.
+    """
+    if known is not None:
+        return known
+    if last_forecast is not None:
+        return last_forecast
+    thr, jitter, loss_rate = win.link[:3]
+    return qoe_oracle(thr, loss_rate * 100.0, jitter, prev_qoe)
 
 
 def _label_windows(samples: list[TelemetrySample], config: GeneratorConfig,
                    noise_rng: np.random.Generator, start_window: int = 0,
                    prev_qoe: float | None = None) -> list[tuple[int, float]]:
-    """Label every whole window from start_window on, chaining the smoother."""
-    window_ms = config.window_s * 1000
-    by_window: dict[int, list[TelemetrySample]] = {}
-    for s in samples:
-        by_window.setdefault(s.ts_ms // window_ms, []).append(s)
-    expected = round(config.window_s / config.tick_s)
+    """Label every whole window from start_window on, chaining the smoother.
+
+    Labelling stops at the first window that is not whole: short, missing
+    or with a non-finite mean.
+    """
+    agg = WindowAggregator(config.window_s, config.tick_s)
+    start_ms = start_window * agg.window_ms
     labels = []
     w = start_window
-    while len(by_window.get(w, ())) == expected:
-        thr, loss_pct, jitter = _window_means(by_window[w])
-        q = qoe_oracle(thr, loss_pct, jitter, prev_qoe)
+    for win in agg.windows(s for s in samples if s.ts_ms >= start_ms):
+        if win.index != w or win.ticks != agg.expected or win.dropped is not None:
+            break
+        q = window_qoe(win, prev_qoe, None)
         if config.label_noise_sigma > 0:
             q += noise_rng.normal(0.0, config.label_noise_sigma)
         q = min(max(q, 0.0), 100.0)

@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,6 +102,112 @@ class Trace:
 
     def label_map(self) -> dict[int, float]:
         return dict(self.labels) if self.labels else {}
+
+
+# ------------------------------------------------------------------ windows
+
+MIN_WINDOW_COVERAGE = 0.8
+
+
+@dataclass(slots=True)
+class Window:
+    """One closed window of ticks.
+
+    link holds the sequential-sum aggregates in feature order: throughput,
+    jitter and loss-rate means, the loss-count sum and the speed mean. qoe
+    is the mean in-band QoE, None when no tick carried one. skipped counts
+    the empty window slots between the previous window and this one.
+    dropped names why the window cannot be used, None when it is kept.
+    """
+
+    index: int
+    ticks: int
+    link: tuple[float, float, float, float, float]
+    qoe: float | None
+    skipped: int
+    dropped: str | None
+
+
+class WindowAggregator:
+    """The window rule shared by label generation, dataset preparation and
+    live serving.
+
+    Ticks, in timestamp order, fall into window ts_ms // window_ms and are
+    summed one by one. A window closes when it reaches its expected tick
+    count (window_s / tick_s) or when the first tick of a later window
+    arrives; ticks that land in a window already closed at its count are
+    ignored. A closed window is dropped when it holds fewer than 80 % of its
+    expected ticks, or when any link mean is not finite.
+    """
+
+    __slots__ = ("window_ms", "expected", "_index", "_next", "_skipped", "_ticks",
+                 "_thr", "_jitter", "_loss_rate", "_loss_count", "_speed",
+                 "_qoe", "_qoe_ticks")
+
+    def __init__(self, window_s: int, tick_s: float):
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
+        self.window_ms = window_s * 1000
+        self.expected = round(window_s / tick_s)
+        if self.expected < 1:
+            raise ValueError("window shorter than one tick")
+        self._index: int | None = None  # open window
+        self._next: int | None = None  # slot after the last closed window
+
+    def add(self, s: TelemetrySample) -> tuple[Window, ...]:
+        """Sum one tick; returns the windows it closes, usually none."""
+        w = s.ts_ms // self.window_ms
+        closed = ()
+        if w != self._index:
+            if self._next is not None and w < self._next:
+                return ()
+            if self._index is not None:
+                closed = (self._close(),)
+            self._skipped = 0 if self._next is None else w - self._next
+            self._index = w
+            self._ticks = 0
+            self._thr = self._jitter = self._loss_rate = 0.0
+            self._loss_count = self._speed = self._qoe = 0.0
+            self._qoe_ticks = 0
+        self._ticks += 1
+        self._thr += s.throughput_mbps
+        self._jitter += s.jitter_ms
+        self._loss_rate += s.loss_rate
+        self._loss_count += s.loss_count
+        self._speed += s.speed_kmh
+        if s.qoe is not None:
+            self._qoe += s.qoe
+            self._qoe_ticks += 1
+        if self._ticks == self.expected:
+            return closed + (self._close(),)
+        return closed
+
+    def flush(self) -> tuple[Window, ...]:
+        """Close the open window, if any, at the end of the ticks."""
+        return () if self._index is None else (self._close(),)
+
+    def windows(self, samples: Iterable[TelemetrySample]) -> Iterator[Window]:
+        """Every window the samples close, the last open one included."""
+        for s in samples:
+            yield from self.add(s)
+        yield from self.flush()
+
+    def _close(self) -> Window:
+        n = self._ticks
+        link = (self._thr / n, self._jitter / n, self._loss_rate / n,
+                self._loss_count, self._speed / n)
+        if n < MIN_WINDOW_COVERAGE * self.expected:
+            dropped = f"{n}/{self.expected} ticks"
+        elif not all(map(math.isfinite, link)):
+            dropped = "non-finite"
+        else:
+            dropped = None
+        win = Window(self._index, n, link,
+                     self._qoe / self._qoe_ticks if self._qoe_ticks else None,
+                     self._skipped, dropped)
+        self._next = self._index + 1
+        self._index = None
+        return win
 
 
 @dataclass
@@ -262,21 +369,17 @@ def load_trace(
             skipped.append((record_no, f"{exc.field}: skipped"))
     if not samples:
         raise EmptyTrace(f"{path}: no valid samples")
-    prev = None
-    for s in samples:
-        if prev is not None and s.ts_ms <= prev:
-            raise NonMonotonicTimestamp(
-                f"{path}: ts_ms {s.ts_ms} follows {prev}; timestamps must strictly increase"
-            )
-        prev = s.ts_ms
 
     labels = load_labels(labels_path) if labels_path is not None else None
-    trace = Trace(
-        samples=tuple(samples),
-        tick_s=tick_s,
-        labels=labels,
-        trace_id=trace_id if trace_id is not None else path.stem,
-    )
+    try:
+        trace = Trace(
+            samples=tuple(samples),
+            tick_s=tick_s,
+            labels=labels,
+            trace_id=trace_id if trace_id is not None else path.stem,
+        )
+    except NonMonotonicTimestamp as exc:
+        raise NonMonotonicTimestamp(f"{path}: {exc}") from None
     return LoadResult(trace=trace, skipped=skipped)
 
 

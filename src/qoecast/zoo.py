@@ -460,6 +460,11 @@ def load_bundle(path) -> ModelBundle:
     return deserialize(Path(path).read_text(encoding="utf-8"))
 
 
+def params64(bundle: ModelBundle) -> dict[str, Tensor]:
+    """The bundle's stored weights widened to float64 tensors."""
+    return {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in bundle.params.items()}
+
+
 class BundleRunner:
     """Inference wrapper: widens bundle weights to float64 once and serves
     batched predictions."""
@@ -467,8 +472,7 @@ class BundleRunner:
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.model = build_variant(bundle.variant_id)
-        self._params = {k: Tensor(np.asarray(v, dtype=np.float64))
-                        for k, v in bundle.params.items()}
+        self._params = params64(bundle)
 
     def predict(self, batch: np.ndarray) -> tuple[np.ndarray, dict]:
         pred, aux = self.model.forward(self._params, Tensor(batch), tape=None, train=False)

@@ -6,6 +6,7 @@ import pytest
 from qoecast.errors import EmptySplit, ScalerMismatch
 from qoecast.evaluation import (
     DENSITY_CLASS,
+    LatencyBudget,
     LatencyStats,
     MetricsReport,
     benchmark_latency,
@@ -120,6 +121,10 @@ class TestLatency:
             latency_budget(-1.0)
         with pytest.raises(ValueError):
             latency_budget(5.0, capture_ms=-0.1)
+        with pytest.raises(ValueError):
+            LatencyBudget(-1.0)
+        with pytest.raises(ValueError):
+            LatencyBudget(5.0, render_ms=-0.1)
 
 
 def _report(vid, cls, rmse, mae, errs=None, latency=None):

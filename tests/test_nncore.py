@@ -3,6 +3,7 @@ import pytest
 
 from qoecast.errors import NonScalarOutput, ShapeMismatch, TapeConsumed
 from qoecast.nncore import (
+    _sigmoid,
     ParamSpec,
     Tape,
     Tensor,
@@ -24,10 +25,7 @@ from qoecast.nncore import (
     reduce_sum,
     relu,
     reshape,
-    sigmoid,
-    slice_,
     softmax,
-    stack,
     tanh,
     transpose,
 )
@@ -103,22 +101,6 @@ class TestPrimitiveGradients:
         w = rng.standard_normal((2, 5))
         _fd_check(lambda tp, x, y: _weighted_sum(tp, concat(tp, [x, y], axis=1), w), a, b)
 
-    def test_stack(self, rng):
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((2, 3))
-        w = rng.standard_normal((2, 2, 3))
-        _fd_check(lambda tp, x, y: _weighted_sum(tp, stack(tp, [x, y], axis=0), w), a, b)
-
-    def test_slice(self, rng):
-        a = rng.standard_normal((4, 5))
-        w = rng.standard_normal((2, 3))
-        _fd_check(lambda tp, x: _weighted_sum(tp, slice_(tp, x, (slice(1, 3), slice(0, 3))), w), a)
-
-    def test_slice_int_key(self, rng):
-        a = rng.standard_normal((4, 5))
-        w = rng.standard_normal((5,))
-        _fd_check(lambda tp, x: _weighted_sum(tp, slice_(tp, x, 2), w), a)
-
     def test_reshape(self, rng):
         a = rng.standard_normal((3, 4))
         w = rng.standard_normal((2, 6))
@@ -142,11 +124,6 @@ class TestPrimitiveGradients:
         a = rng.standard_normal((3, 4))
         w = rng.standard_normal((3, 1))
         _fd_check(lambda tp, x: _weighted_sum(tp, reduce_sum(tp, x, axis=1, keepdims=True), w), a)
-
-    def test_sigmoid(self, rng):
-        a = rng.standard_normal((3, 4)) * 2
-        w = rng.standard_normal((3, 4))
-        _fd_check(lambda tp, x: _weighted_sum(tp, sigmoid(tp, x), w), a)
 
     def test_tanh(self, rng):
         a = rng.standard_normal((3, 4))
@@ -230,7 +207,7 @@ class TestShapeErrors:
 
 class TestNonlinearityValues:
     def test_sigmoid_no_overflow(self):
-        y = sigmoid(None, Tensor([-1000.0, 0.0, 1000.0])).data
+        y = _sigmoid(np.array([-1000.0, 0.0, 1000.0]))
         assert y == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
     def test_softmax_rows_sum_to_one(self, rng):

@@ -12,11 +12,9 @@ from qoecast.pipeline import (
     QOE_FEATURE,
     ScalerStats,
     build_dataset,
-    chrono_split,
     fit_scaler,
     inverse_target,
     load_dataset,
-    make_sequences,
     scale_features,
     scale_target,
     scaler_fingerprint,
@@ -103,6 +101,22 @@ class TestWindowing:
         assert res.windows[1].window_index == 2
         assert res.windows[1].qoe == pytest.approx(qoe_oracle(20.0, 1.0, 15.0, 42.0))
 
+    def test_non_finite_window_dropped(self):
+        # ten ticks of 1e308 overflow window 1's throughput sum to inf
+        samples = tuple(_tick(i * 1000, thr=1e308 if 10 <= i < 20 else 20.0)
+                        for i in range(30))
+        res = window_trace(Trace(samples=samples, labels=((0, 42.0),)))
+        assert res.dropped == [(1, "non-finite")]
+        assert [w.window_index for w in res.windows] == [0, 2]
+        assert np.all(np.isfinite(np.stack([w.features for w in res.windows])))
+        assert res.windows[1].qoe == pytest.approx(qoe_oracle(20.0, 1.0, 15.0, 42.0))
+
+    def test_empty_slots_listed_once_per_run(self):
+        keep = [i for i in range(60) if not (20 <= i < 40)]
+        res = window_trace(Trace(samples=tuple(_tick(i * 1000) for i in keep)))
+        assert [w.window_index for w in res.windows] == [0, 1, 4, 5]
+        assert res.dropped == [(2, "2 empty")]
+
     def test_no_complete_window_raises(self):
         samples = tuple(_tick(w * 10000 + k * 1000) for w in range(3) for k in range(4))
         with pytest.raises(NoCompleteWindow):
@@ -182,24 +196,21 @@ class TestScaler:
             fit_scaler(ws[:1])
 
 
-def _scaled_triplet(windows):
-    stats = fit_scaler(windows)
-    raw = np.stack([w.features for w in windows])
-    return stats, scale_features(stats, raw), scale_target(stats, raw[:, QOE_FEATURE])
+def _all_sequences(ds):
+    return ds.split.train + ds.split.val + ds.split.test
 
 
 class TestSequences:
     def test_count_formula(self):
-        ws = window_trace(_ramp_trace()).windows
-        _, scaled, targets = _scaled_triplet(ws)
-        seqs = make_sequences(ws, scaled, targets, "ramp")
-        assert len(seqs) == 55  # 60 windows, context 5 + horizon 1
+        ds = build_dataset([_ramp_trace()])
+        assert len(_all_sequences(ds)) == 55  # 60 windows, context 5 + horizon 1
 
     def test_targets_and_origins(self):
-        ws = window_trace(_ramp_trace()).windows
-        _, scaled, targets = _scaled_triplet(ws)
-        seqs = make_sequences(ws, scaled, targets, "ramp")
-        for i, s in enumerate(seqs):
+        ds = build_dataset([_ramp_trace()])
+        raw = np.stack([w.features for w in window_trace(_ramp_trace()).windows])
+        scaled = scale_features(ds.scaler, raw)
+        targets = scale_target(ds.scaler, raw[:, QOE_FEATURE])
+        for i, s in enumerate(_all_sequences(ds)):
             assert s.origin == ("ramp", i)
             assert s.target == pytest.approx(float(targets[i + 5]), abs=0)
             assert np.array_equal(s.inputs, scaled[i : i + 5])
@@ -210,67 +221,55 @@ class TestSequences:
         keep = [i for i in range(600) if not (300 <= i < 310)]
         tr = Trace(samples=tuple(_tick(i * 1000, thr=1.0 + 0.04 * i, jit=10.0, loss=0.0)
                                  for i in keep), trace_id="gap")
-        ws = window_trace(tr).windows
-        assert len(ws) == 59
-        _, scaled, targets = _scaled_triplet(ws)
-        seqs = make_sequences(ws, scaled, targets, "gap")
+        assert len(window_trace(tr).windows) == 59
+        seqs = _all_sequences(build_dataset([tr]))
         assert len(seqs) == (30 - 5) + (29 - 5)
         for s in seqs:
             first = s.origin[1]
             assert not (first <= 30 <= first + 5)
 
     def test_trace_too_short(self):
-        ws = window_trace(_ramp_trace(50)).windows
-        _, scaled, targets = _scaled_triplet(ws)
-        with pytest.raises(TraceTooShort):
-            make_sequences(ws, scaled, targets, "short")
-
-    def test_misaligned_arrays_rejected(self):
-        ws = window_trace(_ramp_trace()).windows
-        _, scaled, targets = _scaled_triplet(ws)
-        with pytest.raises(ValueError):
-            make_sequences(ws, scaled[:-1], targets, "ramp")
+        # enough sequences overall, but the second trace yields none
+        with pytest.raises(TraceTooShort, match="short"):
+            build_dataset([_ramp_trace(), _ramp_trace(50, trace_id="short")])
 
     def test_ts_offset_shifts_targets(self):
-        ws = window_trace(_ramp_trace()).windows
-        _, scaled, targets = _scaled_triplet(ws)
-        seqs = make_sequences(ws, scaled, targets, "ramp", ts_offset_ms=600000)
-        assert seqs[0].target_ts_ms == 600000 + 5 * 10000
+        ds = build_dataset([_ramp_trace(trace_id="a"), _ramp_trace(trace_id="b")])
+        first_b = min(s.target_ts_ms for s in _all_sequences(ds) if s.origin[0] == "b")
+        assert first_b == 600000 + 5 * 10000
 
 
 class TestChronoSplit:
-    def _seqs(self):
-        ws = window_trace(_ramp_trace()).windows
-        _, scaled, targets = _scaled_triplet(ws)
-        return make_sequences(ws, scaled, targets, "ramp")
-
     def test_fraction_counts(self):
-        split = chrono_split(self._seqs())
+        split = build_dataset([_ramp_trace()]).split
         assert (len(split.train), len(split.val), len(split.test)) == (38, 5, 12)
 
     def test_chronological_order(self):
-        seqs = self._seqs()
-        # shuffle to prove the split orders by target timestamp itself
-        rng = np.random.default_rng(4)
-        shuffled = [seqs[i] for i in rng.permutation(len(seqs))]
-        split = chrono_split(shuffled)
+        split = build_dataset([_ramp_trace(trace_id="a"), _ramp_trace(trace_id="b")]).split
         ts = [s.target_ts_ms for s in split.train + split.val + split.test]
         assert ts == sorted(ts)
         assert split.train_end_ts_ms <= split.val[0].target_ts_ms
         assert split.val_end_ts_ms <= split.test[0].target_ts_ms
 
     def test_remainder_goes_to_test(self):
-        seqs = self._seqs()[:11]
-        split = chrono_split(seqs)
+        split = build_dataset([_ramp_trace(160)]).split  # 16 windows, 11 sequences
         assert (len(split.train), len(split.val), len(split.test)) == (7, 1, 3)
 
     def test_too_few_sequences(self):
+        # two 9-window traces give 4 sequences each
         with pytest.raises(TooFewSequences):
-            chrono_split(self._seqs()[:9])
+            build_dataset([_ramp_trace(90, trace_id="a"), _ramp_trace(90, trace_id="b")])
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
-            chrono_split(self._seqs(), fractions=(0.5, 0.2, 0.2))
+            build_dataset([_ramp_trace()], fractions=(0.5, 0.2, 0.2))
+        with pytest.raises(ValueError):
+            build_dataset([_ramp_trace()], fractions=(1.5, -0.5, 0.0))
+
+    def test_fractions_checked_before_use(self):
+        # too few sequences too, but the fractions are rejected first
+        with pytest.raises(ValueError):
+            build_dataset([_ramp_trace(140)], fractions=(0.9, 0.2, -0.1))
 
 
 class TestBuildDataset:

@@ -16,7 +16,7 @@ from qoecast.serve import (
     run_stream,
 )
 from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle
-from qoecast.telemetry import TelemetrySample, write_trace
+from qoecast.telemetry import TelemetrySample, Trace, write_trace
 from qoecast.zoo import BundleRunner, ModelBundle, load_bundle
 from qoecast.pipeline import inverse_target, window_trace
 
@@ -318,6 +318,72 @@ class TestOfflineEquivalence:
             offline = float(inverse_target(gru_bundle.scaler, pred_scaled[0]))
             assert rec["qoe_pred"] == pytest.approx(offline, abs=1e-9)
             assert rec["ts_ms"] == (i + 1) * 10000
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def _served_link_rows(state, samples):
+    """Link columns of every window the stream keeps, in order."""
+    rows = []
+    for s in samples:
+        before = state.stats.windows
+        state.ingest(s)
+        if state.stats.windows > before:
+            rows.append(state._ring[-1][:5].copy())
+    before = state.stats.windows
+    state.flush()
+    if state.stats.windows > before:
+        rows.append(state._ring[-1][:5].copy())
+    return rows
+
+
+class TestOneWindowRule:
+    def test_gappy_trace_same_windows_both_paths(self):
+        trace = generate_trace(GeneratorConfig(seed=derive_seed(7, "trace:0"),
+                                               duration_s=200, trace_id="gappy"))
+        # window 3 keeps 7 of its 10 ticks; window 8 is missing altogether
+        samples = tuple(s for s in trace.samples
+                        if not (30000 <= s.ts_ms < 33000 or 80000 <= s.ts_ms < 90000))
+        gappy = Trace(samples=samples, labels=trace.labels, trace_id="gappy")
+        state = StreamState(_lv_bundle(), POLICY)
+        served = _served_link_rows(state, samples)
+        res = window_trace(gappy)
+        assert len(served) == len(res.windows) == 18
+        for row, w in zip(served, res.windows):
+            assert np.array_equal(row, w.features[:5])
+        assert res.dropped == [(3, "7/10 ticks"), (8, "1 empty")]
+        assert state.stats.dropped_windows == 2
+
+    def test_ticks_finer_than_tick_s_agree(self):
+        # 0.5 s ticks against tick_s=1: each window closes at its tenth tick,
+        # 5 s in, and the ticks of its second half are ignored on both paths
+        samples = tuple(_sample(i, thr=1.0 + i, ts=500 * i) for i in range(200))
+        state = StreamState(_lv_bundle(), POLICY)
+        served = _served_link_rows(state, samples)
+        res = window_trace(Trace(samples=samples, tick_s=1.0))
+        assert [w.window_index for w in res.windows] == list(range(10))
+        assert res.dropped == []
+        assert state.stats.dropped_windows == 0
+        assert len(served) == 10
+        for row, w in zip(served, res.windows):
+            assert np.array_equal(row, w.features[:5])
+            assert w.features[0] == 1.0 + 20 * w.window_index + 4.5
+
+    def test_overflowing_window_is_dropped_not_forecast(self):
+        # ten ticks of 1e308 overflow the window sum to inf
+        lines = [_line(i) for i in range(40)]
+        lines += [_line(i, thr=1e308) for i in range(40, 50)]
+        lines += [_line(i) for i in range(50, 60)]
+        out = io.StringIO()
+        summary = run_stream(load_bundle(DATA_DIR / "lastvalue.bundle.json"),
+                             FeedbackPolicy(), lines, out, clock=lambda: 0.0)
+        records = [json.loads(l, parse_constant=_reject_constant)
+                   for l in out.getvalue().splitlines()]
+        assert records == [{"summary": summary}]
+        assert summary["dropped_windows"] == 1
+        assert summary["windows"] == 5 and summary["forecasts"] == 0
 
 
 class TestGoldenStream:

@@ -9,6 +9,7 @@ from qoecast.telemetry import (
     LoadResult,
     TelemetrySample,
     Trace,
+    WindowAggregator,
     load_labels,
     load_trace,
     validate_trace,
@@ -133,8 +134,9 @@ class TestLoadValidation:
         p = tmp_path / "t.csv"
         rows = ["1000,20,15,0.01,10,30", "0,20,15,0.01,10,30"]
         p.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(NonMonotonicTimestamp):
+        with pytest.raises(NonMonotonicTimestamp) as e:
             load_trace(p, strict=False)
+        assert str(p) in str(e.value)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -255,3 +257,29 @@ class TestValidateTrace:
     def test_partial_label_coverage(self):
         rep = validate_trace(_trace(30, labels=((0, 50.0),)))
         assert rep.label_coverage == pytest.approx(1 / 3)
+
+
+class TestWindowAggregator:
+    def test_closes_at_count_or_at_a_later_window(self):
+        agg = WindowAggregator(10, 1.0)
+        closed = [w for i in range(10) for w in agg.add(_sample(i))]
+        assert [(w.index, w.ticks, w.dropped) for w in closed] == [(0, 10, None)]
+        assert closed[0].link[0] == sum(20.0 + i for i in range(10)) / 10
+        assert closed[0].link[3] == 100.0  # loss counts are summed
+        for i in range(10, 19):  # window 1 stops one tick short
+            assert agg.add(_sample(i)) == ()
+        (w1,) = agg.add(_sample(40))  # window 4's first tick closes window 1
+        assert (w1.index, w1.ticks, w1.dropped) == (1, 9, None)
+        (w4,) = agg.flush()
+        assert (w4.index, w4.skipped, w4.dropped) == (4, 2, "1/10 ticks")
+        assert agg.flush() == ()
+
+    def test_inband_qoe_mean(self):
+        agg = WindowAggregator(10, 1.0)
+        samples = [_sample(i, qoe=50.0 + i if i < 4 else None) for i in range(10)]
+        (w,) = list(agg.windows(samples))
+        assert w.qoe == (50.0 + 51.0 + 52.0 + 53.0) / 4
+
+    def test_window_shorter_than_a_tick(self):
+        with pytest.raises(ValueError):
+            WindowAggregator(1, 2.0)
