@@ -9,12 +9,16 @@ what inference and finite differencing use.
 
 All internal math is 64-bit. Gradients accumulate into Tensor.grad, so a
 tensor used several times receives the sum of its downstream contributions.
+
+Importing this module fixes the process heap policy on glibc (see
+_set_heap_policy).
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +26,42 @@ from .errors import NonScalarOutput, ShapeMismatch, TapeConsumed
 
 LAYER_NORM_EPS = 1e-5
 ELU_ALPHA = 1.0
+
+# glibc mallopt parameters (malloc.h) and the values set once at import
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
+
+
+def _set_heap_policy() -> bool:
+    """Keep freed numpy temporaries in the heap; True when the policy is set.
+
+    A training step allocates and frees arrays of 0.1-3 MiB dozens of times.
+    Under glibc's default policy each one above the mmap threshold (128 KiB,
+    raised only after a mapped block is freed) is mapped and unmapped, and
+    a heap top above the trim threshold is handed back to the kernel, so
+    every step faults its pages in again. Measured on the 18 fits of
+    `train --all` on the seed-1 desk corpus (one BLAS thread, 2 vCPUs):
+    499k minor faults, 1.0 s of system time and 9.6-10.3 s in all under the
+    default policy; 4k faults, 0.02 s and 8.5-9.1 s with these thresholds.
+    Fixed thresholds also switch off glibc's dynamic adjustment, so the
+    policy does not depend on which block happened to be freed first.
+    Elsewhere (no glibc, or no ctypes loader) this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # noqa: B018 - present on glibc only
+        mallopt = libc.mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD))
+
+
+_set_heap_policy()
 
 
 class Tensor:
@@ -79,8 +119,9 @@ def backward(tape: Tape, output: Tensor) -> None:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared or a view
+    else:
+        t.grad += g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -115,30 +156,29 @@ def add(tape: Tape | None, a: Tensor, b) -> Tensor:
     return out
 
 
-def mul(tape: Tape | None, a: Tensor, b) -> Tensor:
-    """Elementwise a * b with numpy broadcasting; b may be a constant."""
-    bd = _as_array(b)
-    try:
-        out = Tensor(a.data * bd)
-    except ValueError:
-        raise ShapeMismatch(f"mul: cannot broadcast {a.data.shape} with {bd.shape}") from None
-    if tape is not None:
-        ad = a.data
-        def _back():
-            _accum(a, _reduce_to(out.grad * bd, a.data.shape))
-            if isinstance(b, Tensor):
-                _accum(b, _reduce_to(out.grad * ad, b.data.shape))
-        tape.record(_back)
-    return out
-
-
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports stacked (batched) operands like np.matmul."""
+    """Matrix product; supports stacked (batched) operands like np.matmul.
+
+    An N-D operand times a 2-D one is one 2-D product over the folded
+    leading axes, forward and backward: the weight gradient is a single
+    a'g product rather than per-sample products summed over the batch.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeMismatch("matmul operands must have at least 2 dimensions")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatch(
             f"matmul: inner dimensions differ, {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2:
+        k, n = b.data.shape
+        a2 = a.data.reshape(-1, k)
+        out = Tensor((a2 @ b.data).reshape(a.data.shape[:-1] + (n,)))
+        if tape is not None:
+            def _back():
+                g2 = out.grad.reshape(-1, n)
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+                _accum(b, a2.T @ g2)
+            tape.record(_back)
+        return out
     out = Tensor(np.matmul(a.data, b.data))
     if tape is not None:
         def _back():
@@ -153,26 +193,6 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 
 # ----------------------------------------------------- structural operations
 
-def concat(tape: Tape | None, parts: Sequence[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ShapeMismatch("concat of zero tensors")
-    try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    except ValueError as exc:
-        raise ShapeMismatch(f"concat: {exc}") from None
-    if tape is not None:
-        sizes = [p.data.shape[axis] for p in parts]
-        def _back():
-            offset = 0
-            for p, size in zip(parts, sizes):
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(offset, offset + size)
-                _accum(p, out.grad[tuple(idx)])
-                offset += size
-        tape.record(_back)
-    return out
-
-
 def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
     try:
         out = Tensor(x.data.reshape(shape))
@@ -184,15 +204,6 @@ def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
         tape.record(_back)
     return out
 
-
-def transpose(tape: Tape | None, x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes))
-    if tape is not None:
-        inverse = tuple(np.argsort(axes))
-        def _back():
-            _accum(x, np.transpose(out.grad, inverse))
-        tape.record(_back)
-    return out
 
 
 # --------------------------------------------------------------- reductions
@@ -217,7 +228,7 @@ def reduce_sum(tape: Tape | None, x: Tensor, axis=None, keepdims: bool = False) 
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
+            _accum(x, np.broadcast_to(g, x.data.shape))
         tape.record(_back)
     return out
 
@@ -275,38 +286,29 @@ def softmax(tape: Tape | None, x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def dropout(tape: Tape | None, x: Tensor, rate: float, train: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout. Identity (the very same tensor) when train is off."""
+def _dropout_keep(shape: tuple[int, ...], rate: float, train: bool,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """The keep mask of inverted dropout, or None when dropout is off."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = rng.random(x.data.shape) >= rate
+    return rng.random(shape) >= rate
+
+
+def dropout(tape: Tape | None, x: Tensor, rate: float, train: bool,
+            rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout. Identity (the very same tensor) when train is off."""
+    keep = _dropout_keep(x.data.shape, rate, train, rng)
+    if keep is None:
+        return x
     scale = 1.0 / (1.0 - rate)
     out = Tensor(x.data * keep * scale)
     if tape is not None:
         def _back():
             _accum(x, out.grad * keep * scale)
-        tape.record(_back)
-    return out
-
-
-def layer_norm(tape: Tape | None, x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine part)."""
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.var(x.data, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
-    out = Tensor(y)
-    if tape is not None:
-        def _back():
-            g = out.grad
-            gm = np.mean(g, axis=-1, keepdims=True)
-            gy = np.mean(g * y, axis=-1, keepdims=True)
-            _accum(x, inv * (g - gm - y * gy))
         tape.record(_back)
     return out
 
@@ -460,6 +462,132 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) ->
             _accum_inputs(x, W, b, dgx)
         tape.record(_back)
     return out
+
+
+# ------------------------------------------------------------ encoder block
+#
+# The post-norm Transformer encoder block runs as one fused op, like the
+# recurrent layers: Q|K|V is one (B*T, d) @ (d, 3d) product, the heads are
+# batched over (batch, heads), and with a tape the block records a single
+# closure that backpropagates through attention, both residual + norm
+# sublayers and the FFN.
+
+ENCODER_PARAMS = (
+    "wq_kernel", "wq_bias", "wk_kernel", "wk_bias", "wv_kernel", "wv_bias",
+    "wo_kernel", "wo_bias", "ln1_gamma", "ln1_beta",
+    "ffn1_kernel", "ffn1_bias", "ffn2_kernel", "ffn2_bias", "ln2_gamma", "ln2_beta",
+)
+
+
+def _check_encoder(x: Tensor, params: Mapping[str, Tensor], heads: int) -> None:
+    if x.data.ndim != 3 or heads < 1 or x.data.shape[2] % heads != 0:
+        raise ShapeMismatch(f"encoder_block: needs a (batch, time, d) input with d "
+                            f"divisible by {heads} heads, got {x.data.shape}")
+    d = x.data.shape[2]
+    ff = params["ffn1_kernel"].data.shape[-1]
+    want = {name: (d, d) if name.endswith("_kernel") else (d,) for name in ENCODER_PARAMS}
+    want.update(ffn1_kernel=(d, ff), ffn1_bias=(ff,), ffn2_kernel=(ff, d))
+    for name, shape in want.items():
+        if params[name].data.shape != shape:
+            raise ShapeMismatch(f"encoder_block: {name} is {params[name].data.shape}, "
+                                f"expected {shape} for d={d}")
+
+
+def _norm(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero mean / unit variance over the last axis, and 1/std."""
+    mu = np.mean(h, axis=-1, keepdims=True)
+    var = np.var(h, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    return (h - mu) * inv, inv
+
+
+def _norm_back(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    gm = np.mean(g, axis=-1, keepdims=True)
+    gy = np.mean(g * y, axis=-1, keepdims=True)
+    return inv * (g - gm - y * gy)
+
+
+def encoder_block(tape: Tape | None, x: Tensor, params: Mapping[str, Tensor], heads: int,
+                  dropout_rate: float, train: bool = False,
+                  rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
+    """Post-norm encoder block over (B, T, d); returns (output, attention).
+
+    params holds the ENCODER_PARAMS tensors (other keys are ignored):
+        a  = dropout(concat_heads(softmax(q k' / sqrt(d/heads)) v) Wo + bo)
+        h1 = norm(x + a) * ln1_gamma + ln1_beta
+        f  = dropout(relu(h1 W1 + b1) W2 + b2)
+        y  = norm(h1 + f) * ln2_gamma + ln2_beta
+    with q|k|v = x Wq|Wk|Wv + bq|bk|bv split into heads and norm() the
+    layer norm with LAYER_NORM_EPS. In training mode the attention output's
+    dropout mask is drawn from rng first, then the FFN's. The attention
+    weights come back as a (B, heads, T, T) array.
+    """
+    _check_encoder(x, params, heads)
+    B, T, d = x.data.shape
+    hd = d // heads
+    p = {name: params[name].data for name in ENCODER_PARAMS}
+    X = x.data.reshape(B * T, d)
+    W_qkv = np.concatenate([p["wq_kernel"], p["wk_kernel"], p["wv_kernel"]], axis=1)
+    b_qkv = np.concatenate([p["wq_bias"], p["wk_bias"], p["wv_bias"]])
+    # (3, B, heads, T, hd) views of one product
+    q, k, v = (X @ W_qkv + b_qkv).reshape(B, T, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    scale = 1.0 / np.sqrt(hd)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    weights = e / np.sum(e, axis=-1, keepdims=True)
+    ctx = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(B * T, d)
+    a = ctx @ p["wo_kernel"] + p["wo_bias"]
+    keep1 = _dropout_keep(a.shape, dropout_rate, train, rng)
+    drop = 1.0 / (1.0 - dropout_rate)
+    if keep1 is not None:
+        a = a * keep1 * drop
+    n1, inv1 = _norm(X + a)
+    h1 = n1 * p["ln1_gamma"] + p["ln1_beta"]
+    pre = h1 @ p["ffn1_kernel"] + p["ffn1_bias"]
+    active = pre > 0
+    f1 = np.where(active, pre, 0.0)
+    f = f1 @ p["ffn2_kernel"] + p["ffn2_bias"]
+    keep2 = _dropout_keep(f.shape, dropout_rate, train, rng)
+    if keep2 is not None:
+        f = f * keep2 * drop
+    n2, inv2 = _norm(h1 + f)
+    out = Tensor((n2 * p["ln2_gamma"] + p["ln2_beta"]).reshape(B, T, d))
+    if tape is not None:
+        def _back():
+            g = out.grad.reshape(B * T, d)
+            grads = {"ln2_gamma": np.sum(g * n2, axis=0), "ln2_beta": np.sum(g, axis=0)}
+            dh2 = _norm_back(g * p["ln2_gamma"], n2, inv2)
+            df = dh2 if keep2 is None else dh2 * keep2 * drop
+            grads["ffn2_kernel"] = f1.T @ df
+            grads["ffn2_bias"] = np.sum(df, axis=0)
+            dpre = (df @ p["ffn2_kernel"].T) * active
+            grads["ffn1_kernel"] = h1.T @ dpre
+            grads["ffn1_bias"] = np.sum(dpre, axis=0)
+            dh1 = dh2 + dpre @ p["ffn1_kernel"].T
+            grads["ln1_gamma"] = np.sum(dh1 * n1, axis=0)
+            grads["ln1_beta"] = np.sum(dh1, axis=0)
+            # the gradient at x + a: x's residual share and the attention's
+            dx = _norm_back(dh1 * p["ln1_gamma"], n1, inv1)
+            da = dx if keep1 is None else dx * keep1 * drop
+            grads["wo_kernel"] = ctx.T @ da
+            grads["wo_bias"] = np.sum(da, axis=0)
+            dctx = (da @ p["wo_kernel"].T).reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
+            dw = np.matmul(dctx, np.swapaxes(v, -1, -2))
+            dv = np.matmul(np.swapaxes(weights, -1, -2), dctx)
+            ds = weights * (dw - np.sum(dw * weights, axis=-1, keepdims=True)) * scale
+            dq = np.matmul(ds, k)
+            dk = np.matmul(np.swapaxes(ds, -1, -2), q)
+            dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(B * T, 3 * d)
+            dW = X.T @ dqkv
+            db = np.sum(dqkv, axis=0)
+            for i, name in enumerate(("wq", "wk", "wv")):
+                grads[f"{name}_kernel"] = dW[:, i * d : (i + 1) * d]
+                grads[f"{name}_bias"] = db[i * d : (i + 1) * d]
+            for name in ENCODER_PARAMS:
+                _accum(params[name], grads[name])
+            _accum(x, (dx + dqkv @ W_qkv.T).reshape(B, T, d))
+        tape.record(_back)
+    return out, weights
 
 
 # ------------------------------------------------------------ initialization

@@ -247,23 +247,22 @@ def _label_windows(samples: list[TelemetrySample], config: GeneratorConfig,
                    prev_qoe: float | None = None) -> list[tuple[int, float]]:
     """Label every whole window from start_window on, chaining the smoother.
 
-    Labelling stops at the first window that is not whole: short, missing
-    or with a non-finite mean.
+    A window that is not whole (short, or with a non-finite mean) gets no
+    label and is skipped, as is a missing one; the next whole window chains
+    on the previous labelled one.
     """
     agg = WindowAggregator(config.window_s, config.tick_s)
     start_ms = start_window * agg.window_ms
     labels = []
-    w = start_window
     for win in agg.windows(s for s in samples if s.ts_ms >= start_ms):
-        if win.index != w or win.ticks != agg.expected or win.dropped is not None:
-            break
+        if win.ticks != agg.expected or win.dropped is not None:
+            continue
         q = window_qoe(win, prev_qoe, None)
         if config.label_noise_sigma > 0:
             q += noise_rng.normal(0.0, config.label_noise_sigma)
         q = min(max(q, 0.0), 100.0)
-        labels.append((w, q))
+        labels.append((win.index, q))
         prev_qoe = q
-        w += 1
     return labels
 
 

@@ -1,5 +1,5 @@
 """Model fitting: minibatch Adam for the neural zoo, closed-form and
-coordinate-descent solvers for the linear variants.
+active-set (feature-sign) solvers for the linear variants.
 
 Neural training minimizes log-cosh (or MSE) on scaled targets with seeded
 shuffling, early stopping on validation loss with best-weight restore, and
@@ -152,33 +152,68 @@ class TrainHistory:
 # ---------------------------------------------------------------- optimizer
 
 class Adam:
-    """Adam with bias correction. A zero (or absent) gradient leaves the
-    parameter untouched. lr is mutable so a schedule can decay it."""
+    """Adam with bias correction over one flat parameter buffer.
+
+    The parameters' data become views into one float64 buffer, and the
+    moments and two scratch vectors are flat beside it, so a step gathers
+    the gradients once and then runs a fixed handful of in-place vector
+    operations, whatever the number of tensors. The parameters keep their
+    Tensor objects; assigning a new array to p.data detaches it from the
+    optimizer. An absent gradient counts as zero: the moments still decay,
+    so the parameter stays put only while its first moment is zero and
+    moves once it is not. lr is mutable so a schedule can decay it.
+    """
 
     def __init__(self, params: dict[str, Tensor], config: AdamConfig):
         self.params = params
         self.config = config
         self.lr = config.lr
         self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        size = sum(p.data.size for p in params.values())
+        self._flat = np.empty(size)
+        self._grad = np.empty(size)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._s = np.empty(size)
+        self._u = np.empty(size)
+        self._slots: list[tuple[Tensor, np.ndarray]] = []
+        offset = 0
+        for p in params.values():
+            end = offset + p.data.size
+            view = self._flat[offset:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._slots.append((p, self._grad[offset:end].reshape(view.shape)))
+            offset = end
 
     def step(self) -> None:
         c = self.config
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            m = self._m[k]
-            v = self._v[k]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+        for p, g in self._slots:
+            if p.grad is None:
+                g.fill(0.0)
+            else:
+                g[...] = p.grad
+        g, m, v, s, u = self._grad, self._m, self._v, self._s, self._u
+        # the per-tensor update, in place and in the same operation order:
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        m *= c.beta1
+        np.multiply(g, 1.0 - c.beta1, out=s)
+        m += s
+        v *= c.beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - c.beta2
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= self.lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += c.eps
+        s /= u
+        self._flat -= s
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -325,76 +360,80 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, f
     return w, float(ym - xm @ w)
 
 
-def solve_coordinate_descent(
+def solve_lasso(
     X: np.ndarray,
     y: np.ndarray,
     l1: float,
     l2: float = 0.0,
-    tol: float = 1e-7,
-    max_sweeps: int = 50_000,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
 ) -> tuple[np.ndarray, float, int]:
-    """Cyclic coordinate descent for mean squared error + l1*sum|w| + l2*sum w^2.
+    """Exact minimizer of mean squared error + l1*sum|w| + l2*sum w^2.
 
-    The bias is unpenalized and refit every sweep. Converges when the
-    subgradient optimality residual (see kkt_residual) drops below tol;
-    coefficient movement is no certificate on ill-conditioned designs,
-    where sweeps trade correlated coefficients along a flat valley long
-    after the fit is optimal. Returns (weights, bias, sweeps).
-
-    Sweeps use covariance updates (Friedman, Hastie & Tibshirani 2010,
-    J. Stat. Softw. 33(1)): X'X, X'y and the column sums are formed once,
-    and each coordinate step updates the d-vector X'r instead of the
-    n-vector residual r, so a sweep costs O(d^2) whatever n is.
+    Feature-sign search (Lee, Battle, Raina & Ng 2007, "Efficient sparse
+    coding algorithms"), an active-set method. The bias is unpenalized, so
+    it is ybar - xbar.w and the weights solve the centered problem
+        min 0.5 w'Aw - q'w + l1*|w|_1,  A = 2/n Xc'Xc + 2*l2*I,  q = 2/n Xc'yc.
+    An iteration either activates the zero coordinate that violates
+    optimality most (|(Aw - q)_j| > l1 + tol) with the sign that descends,
+    or, with the active set and signs fixed, solves the quadratic exactly
+    and moves towards that solution as far as the lowest objective along
+    the segment, where coefficients that cross zero leave the active set.
+    The objective falls strictly, so no active set and sign pattern
+    repeats and the search ends in a bounded number of iterations; at the
+    end the active coordinates satisfy optimality to rounding and the zero
+    ones to tol. Returns (weights, bias, iterations); NoConvergence when
+    max_iter iterations do not get there.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(X) != len(y):
         raise LengthMismatch(f"{len(X)} rows vs {len(y)} targets")
+    if l1 < 0 or l2 < 0:
+        raise ValueError("penalties must be non-negative")
     n, d = X.shape
-    gram = X.T @ X
-    col_sum = X.sum(axis=0)
-    b = float(y.mean())
-    # the sweep loop runs on Python floats; numpy is kept for the d-vectors
-    scale = 2.0 / n
-    diag = np.diag(gram)
-    col_sq = diag.tolist()
-    denom = (scale * diag + 2.0 * l2).tolist()
-    gram_rows = list(gram)  # X'X is symmetric: row j is column j
-    sums = col_sum.tolist()
-    active = [j for j in range(d) if denom[j] != 0.0]  # all-zero columns stay 0
-    w = [0.0] * d
-    # residual r = y - b - Xw with w = 0, kept as X'r and sum(r)
-    xr = X.T @ y - b * col_sum
-    r_sum = float(y.sum()) - n * b
+    xm = X.mean(axis=0)
+    ym = y.mean()
+    Xc = X - xm
+    A = (2.0 / n) * (Xc.T @ Xc) + 2.0 * l2 * np.eye(d)
+    q = (2.0 / n) * (Xc.T @ (y - ym))
 
-    for sweep in range(1, max_sweeps + 1):
-        for j in active:
-            old = w[j]
-            rho = scale * (xr.item(j) + col_sq[j] * old)
-            new = math.copysign(max(abs(rho) - l1, 0.0), rho) / denom[j]
-            if new != old:
-                xr -= gram_rows[j] * (new - old)
-                r_sum -= sums[j] * (new - old)
-                w[j] = new
-        shift = r_sum / n
-        if shift != 0.0:
-            xr -= col_sum * shift
-            r_sum -= n * shift
-            b += shift
-        w_arr = np.array(w)
-        grad = -scale * xr + 2.0 * l2 * w_arr
-        if _kkt_violation(grad, w_arr, r_sum / n, l1) <= tol:
-            return w_arr, b, sweep
-    raise NoConvergence(
-        f"coordinate descent did not reach optimality residual {tol} "
-        f"in {max_sweeps} sweeps")
+    def objective(w: np.ndarray) -> float:
+        return float(0.5 * w @ A @ w - q @ w + l1 * np.abs(w).sum())
 
-
-def _kkt_violation(grad: np.ndarray, w: np.ndarray, r_mean: float, l1: float) -> float:
-    at_zero = np.maximum(np.abs(grad) - l1, 0.0)
-    off_zero = np.abs(grad + l1 * np.sign(w))
-    worst = np.max(np.where(w != 0.0, off_zero, at_zero), initial=0.0)
-    return max(abs(2.0 * r_mean), float(worst))
+    w = np.zeros(d)
+    settled = True  # w minimizes the objective over its active set and signs
+    for it in range(1, max_iter + 1):
+        theta = np.sign(w)
+        if settled:
+            grad = A @ w - q
+            excess = np.where(w == 0.0, np.abs(grad) - l1, -np.inf)
+            if np.max(excess, initial=-np.inf) <= tol:
+                return w, float(ym - xm @ w), it
+            j = int(np.argmax(excess))
+            theta[j] = -np.sign(grad[j])
+        active = np.flatnonzero(theta)
+        rhs = q[active] - l1 * theta[active]
+        try:
+            target = np.linalg.solve(A[np.ix_(active, active)], rhs)
+        except np.linalg.LinAlgError:  # collinear active columns, l2 = 0
+            target = np.linalg.lstsq(A[np.ix_(active, active)], rhs, rcond=None)[0]
+        # discrete line search: the solution and every zero crossing on the way
+        start = w[active]
+        best = np.zeros(d)
+        best[active] = target
+        best_f = objective(best)
+        settled = bool(np.all(np.sign(target) == theta[active]))
+        for i in np.flatnonzero((start != 0.0) & (np.sign(target) != np.sign(start))):
+            cand = np.zeros(d)
+            cand[active] = start + start[i] / (start[i] - target[i]) * (target - start)
+            cand[active[i]] = 0.0
+            f = objective(cand)
+            if f < best_f:
+                best, best_f, settled = cand, f, False
+        w = best
+    raise NoConvergence(f"feature-sign search did not reach optimality tolerance {tol} "
+                        f"in {max_iter} iterations")
 
 
 def kkt_residual(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
@@ -410,7 +449,10 @@ def kkt_residual(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
     n = len(y)
     r = y - b - X @ w
     grad = -(2.0 / n) * (X.T @ r) + 2.0 * l2 * w
-    return _kkt_violation(grad, w, float(r.mean()), l1)
+    at_zero = np.maximum(np.abs(grad) - l1, 0.0)
+    off_zero = np.abs(grad + l1 * np.sign(w))
+    worst = np.max(np.where(w != 0.0, off_zero, at_zero), initial=0.0)
+    return max(abs(2.0 * float(r.mean())), float(worst))
 
 
 def fit_linear(variant_id: str, dataset: PreparedDataset,
@@ -425,13 +467,13 @@ def fit_linear(variant_id: str, dataset: PreparedDataset,
         raise EmptySplit("train split is empty")
     Xf = X.reshape(len(X), -1)
     l1, l2 = model.penalties
-    sweeps = 1
+    iterations = 1
     if l1 == 0.0 and l2 == 0.0:
         w, b = solve_ols(Xf, y)
     elif l1 == 0.0:
         w, b = solve_ridge(Xf, y, l2)
     else:
-        w, b, sweeps = solve_coordinate_descent(Xf, y, l1, l2)
+        w, b, iterations = solve_lasso(Xf, y, l1, l2)
     train_loss = mse_value(Xf @ w + b - y)
     val_loss = (mse_value(X_val.reshape(len(X_val), -1) @ w + b - y_val)
                 if len(X_val) else float("nan"))
@@ -443,7 +485,7 @@ def fit_linear(variant_id: str, dataset: PreparedDataset,
         scaler=dataset.scaler,
         params={"weights": w.reshape(-1, 1).astype(np.float32),
                 "bias": np.array([b], dtype=np.float32)},
-        meta={"seed": config.seed, "epochs": sweeps,
+        meta={"seed": config.seed, "epochs": iterations,
               "train_loss": train_loss, "val_loss": val_loss},
         feature_order=dataset.feature_order,
     )

@@ -158,10 +158,10 @@ class TransformerModel(ForecastModel):
     """One post-norm encoder block over the 5 projected positions.
 
     Input projection to d_model=32 plus fixed sinusoidal position codes;
-    multi-head self-attention, residual + layer norm (learned gain/shift),
-    position-wise FFN with ReLU, second residual + norm; mean pooling over
-    positions and a dense head. Dropout acts on each sublayer output during
-    training.
+    the fused nncore.encoder_block (multi-head self-attention, residual +
+    layer norm with learned gain/shift, position-wise FFN with ReLU, second
+    residual + norm, dropout on each sublayer output during training); mean
+    pooling over positions and a dense head.
     """
 
     model_class = "transformer"
@@ -175,7 +175,6 @@ class TransformerModel(ForecastModel):
         self.ff_dim = ff_dim
         self.dropout_rate = dropout_rate
         self.d_model = d_model
-        self.head_dim = d_model // heads
         self._pe = sinusoidal_positions(CONTEXT_LEN, d_model)
         super().__init__(variant_id)
 
@@ -193,43 +192,15 @@ class TransformerModel(ForecastModel):
         specs.extend(_dense_specs("out", d, 1))
         return specs
 
-    def _split_heads(self, tape, t: Tensor, B: int, T: int) -> Tensor:
-        t = nc.reshape(tape, t, (B, T, self.heads, self.head_dim))
-        t = nc.transpose(tape, t, (0, 2, 1, 3))
-        return nc.reshape(tape, t, (B * self.heads, T, self.head_dim))
-
     def forward(self, params, x, tape=None, train=False, rng=None):
         self._check_input(x)
-        B, T = x.data.shape[0], x.data.shape[1]
+        B = x.data.shape[0]
         h = nc.add(tape, _dense(tape, params, "embed", x), self._pe)
-
-        q = self._split_heads(tape, _dense(tape, params, "wq", h), B, T)
-        k = self._split_heads(tape, _dense(tape, params, "wk", h), B, T)
-        v = self._split_heads(tape, _dense(tape, params, "wv", h), B, T)
-        scores = nc.mul(tape, nc.matmul(tape, q, nc.transpose(tape, k, (0, 2, 1))),
-                        1.0 / np.sqrt(self.head_dim))
-        weights = nc.softmax(tape, scores, axis=2)
-        att = nc.matmul(tape, weights, v)
-        att = nc.reshape(tape, att, (B, self.heads, T, self.head_dim))
-        att = nc.transpose(tape, att, (0, 2, 1, 3))
-        att = nc.reshape(tape, att, (B, T, self.d_model))
-        att = _dense(tape, params, "wo", att)
-        att = nc.dropout(tape, att, self.dropout_rate, train, rng)
-
-        h = nc.add(tape, h, att)
-        h = nc.add(tape, nc.mul(tape, nc.layer_norm(tape, h), params["ln1_gamma"]),
-                   params["ln1_beta"])
-
-        ff = _dense(tape, params, "ffn2", nc.relu(tape, _dense(tape, params, "ffn1", h)))
-        ff = nc.dropout(tape, ff, self.dropout_rate, train, rng)
-        h = nc.add(tape, h, ff)
-        h = nc.add(tape, nc.mul(tape, nc.layer_norm(tape, h), params["ln2_gamma"]),
-                   params["ln2_beta"])
-
+        h, weights = nc.encoder_block(tape, h, params, self.heads, self.dropout_rate,
+                                      train, rng)
         pooled = nc.reduce_mean(tape, h, axis=1)
         pred = nc.reshape(tape, _dense(tape, params, "out", pooled), (B,))
-        attention = weights.data.reshape(B, self.heads, T, T).copy()
-        return pred, {"attention": attention}
+        return pred, {"attention": weights.copy()}
 
 
 # ------------------------------------------------------------ feed-forward

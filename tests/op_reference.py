@@ -1,0 +1,90 @@
+"""Op-by-op references for the fused nncore kernels.
+
+The elementwise product, the axis permutation and the layer norm are tape
+primitives kept here only to spell out the Transformer encoder block one
+operation at a time, the way the model ran it before the block was fused.
+Tests compare nncore.encoder_block against encoder_block_reference.
+"""
+
+import numpy as np
+
+from qoecast import nncore as nc
+from qoecast.errors import ShapeMismatch
+from qoecast.nncore import Tape, Tensor
+from qoecast.zoo import _dense
+
+
+def mul(tape: Tape | None, a: Tensor, b) -> Tensor:
+    """Elementwise a * b with numpy broadcasting; b may be a constant."""
+    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    try:
+        out = Tensor(a.data * bd)
+    except ValueError:
+        raise ShapeMismatch(f"mul: cannot broadcast {a.data.shape} with {bd.shape}") from None
+    if tape is not None:
+        ad = a.data
+        def _back():
+            nc._accum(a, nc._reduce_to(out.grad * bd, a.data.shape))
+            if isinstance(b, Tensor):
+                nc._accum(b, nc._reduce_to(out.grad * ad, b.data.shape))
+        tape.record(_back)
+    return out
+
+
+def transpose(tape: Tape | None, x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    out = Tensor(np.transpose(x.data, axes))
+    if tape is not None:
+        inverse = tuple(np.argsort(axes))
+        def _back():
+            nc._accum(x, np.transpose(out.grad, inverse))
+        tape.record(_back)
+    return out
+
+
+def layer_norm(tape: Tape | None, x: Tensor, eps: float = nc.LAYER_NORM_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (no affine part)."""
+    mu = np.mean(x.data, axis=-1, keepdims=True)
+    var = np.var(x.data, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (x.data - mu) * inv
+    out = Tensor(y)
+    if tape is not None:
+        def _back():
+            g = out.grad
+            gm = np.mean(g, axis=-1, keepdims=True)
+            gy = np.mean(g * y, axis=-1, keepdims=True)
+            nc._accum(x, inv * (g - gm - y * gy))
+        tape.record(_back)
+    return out
+
+
+def encoder_block_reference(tape, x, params, heads, dropout_rate, train=False, rng=None):
+    """The post-norm block of nncore.encoder_block, one tape op at a time."""
+    B, T, d = x.data.shape
+    hd = d // heads
+
+    def split_heads(t):
+        t = nc.reshape(tape, t, (B, T, heads, hd))
+        t = transpose(tape, t, (0, 2, 1, 3))
+        return nc.reshape(tape, t, (B * heads, T, hd))
+
+    q = split_heads(_dense(tape, params, "wq", x))
+    k = split_heads(_dense(tape, params, "wk", x))
+    v = split_heads(_dense(tape, params, "wv", x))
+    scores = mul(tape, nc.matmul(tape, q, transpose(tape, k, (0, 2, 1))), 1.0 / np.sqrt(hd))
+    weights = nc.softmax(tape, scores, axis=2)
+    att = nc.matmul(tape, weights, v)
+    att = nc.reshape(tape, att, (B, heads, T, hd))
+    att = transpose(tape, att, (0, 2, 1, 3))
+    att = nc.reshape(tape, att, (B, T, d))
+    att = _dense(tape, params, "wo", att)
+    att = nc.dropout(tape, att, dropout_rate, train, rng)
+
+    h = nc.add(tape, x, att)
+    h = nc.add(tape, mul(tape, layer_norm(tape, h), params["ln1_gamma"]), params["ln1_beta"])
+
+    ff = _dense(tape, params, "ffn2", nc.relu(tape, _dense(tape, params, "ffn1", h)))
+    ff = nc.dropout(tape, ff, dropout_rate, train, rng)
+    h = nc.add(tape, h, ff)
+    h = nc.add(tape, mul(tape, layer_norm(tape, h), params["ln2_gamma"]), params["ln2_beta"])
+    return h, weights.data.reshape(B, heads, T, T)

@@ -17,7 +17,7 @@ import pytest
 from qoecast.cli import main
 from qoecast.evaluation import benchmark_latency, evaluate, evaluate_baseline, latency_budget
 from qoecast.explain import integrated_gradients
-from qoecast.nncore import Tape, gradient_check, mul, reduce_sum
+from qoecast.nncore import Tape, gradient_check, reduce_sum
 from qoecast.pipeline import (
     build_dataset,
     inverse_target,
@@ -33,7 +33,7 @@ from qoecast.train import (
     kkt_residual,
     logcosh_value,
     run_all_variants,
-    solve_coordinate_descent,
+    solve_lasso,
     solve_ols,
     solve_ridge,
 )
@@ -46,6 +46,7 @@ from qoecast.zoo import (
     build_variant,
     load_bundle,
 )
+from op_reference import mul
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -122,7 +123,7 @@ def test_criterion_02_linear_solver_oracles():
                          abs(b - (ym - xm @ w_ref)))
 
         for l1, l2 in ((0.05, 0.0), (0.05, 0.02)):
-            w, b, _ = solve_coordinate_descent(X, y, l1=l1, l2=l2)
+            w, b, _ = solve_lasso(X, y, l1=l1, l2=l2)
             worst_kkt = max(worst_kkt, kkt_residual(X, y, w, b, l1, l2))
     _report(2, worst_coef <= 1e-8 and worst_kkt <= 1e-6,
             f"OLS/ridge max coef dev {worst_coef:.2e} (tol 1e-8), "

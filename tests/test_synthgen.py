@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,26 @@ class TestInjectEpisode:
         kept = [l for l in trace.labels if l[0] < 10]
         assert [l for l in out.labels if l[0] < 10] == kept
         assert len(out.labels) == len(trace.labels)
+
+    def test_relabels_past_a_window_that_is_not_whole(self):
+        # window 5 loses 3 of its 10 ticks (below 80 % coverage): it stays
+        # unlabelled, and relabelling goes on after it, chained on window 4
+        tr = generate_trace(GeneratorConfig(seed=3, duration_s=200, label_noise_sigma=0.0))
+        gapped = replace(tr, samples=tuple(s for s in tr.samples
+                                           if not 50_000 <= s.ts_ms < 53_000),
+                         labels=tuple(l for l in tr.labels if l[0] != 5))
+        out = inject_episode(gapped, 0, 20, "handover", seed=1,
+                             config=GeneratorConfig(label_noise_sigma=0.0))
+        assert [w for w, _ in out.labels] == [w for w in range(20) if w != 5]
+        labels = dict(out.labels)
+        by_w = {}
+        for s in out.samples:
+            by_w.setdefault(s.ts_ms // 10000, []).append(s)
+        group = by_w[6]
+        expect = qoe_oracle(sum(s.throughput_mbps for s in group) / 10,
+                            sum(s.loss_rate for s in group) / 10 * 100,
+                            sum(s.jitter_ms for s in group) / 10, labels[4])
+        assert labels[6] == pytest.approx(expect, abs=1e-9)
 
     def test_deterministic(self, trace):
         a = inject_episode(trace, 40, 30, "degraded", seed=8)

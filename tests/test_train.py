@@ -27,7 +27,7 @@ from qoecast.train import (
     mse_loss,
     mse_value,
     run_all_variants,
-    solve_coordinate_descent,
+    solve_lasso,
     solve_ols,
     solve_ridge,
     train_neural,
@@ -123,6 +123,45 @@ class TestAdam:
             w.grad = 2.0 * (w.data - 3.0)
             opt.step()
         assert w.data[0] == pytest.approx(3.0, abs=1e-3)
+
+    def test_flat_buffer_bit_identical_to_per_tensor_update(self, rng):
+        shapes = {"k": (6, 4), "b": (4,), "s": (1,), "r": (3, 2, 5)}
+        init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = {k: Tensor(v.copy()) for k, v in init.items()}
+        cfg = AdamConfig(lr=0.01)
+        opt = Adam(params, cfg)
+        ref = {k: v.copy() for k, v in init.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        for t in range(1, 8):
+            if t == 5:
+                opt.lr = 0.003
+            opt.zero_grads()
+            for k, p in params.items():
+                p.grad = rng.standard_normal(shapes[k]) * 10.0 ** rng.integers(-6, 2)
+            # the per-tensor formula
+            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            for k, p in params.items():
+                g = p.grad
+                m[k] = m[k] * cfg.beta1 + (1.0 - cfg.beta1) * g
+                v[k] = v[k] * cfg.beta2 + (1.0 - cfg.beta2) * (g * g)
+                ref[k] = ref[k] - opt.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
+            opt.step()
+            for k, p in params.items():
+                assert p.data.shape == shapes[k]
+                assert np.array_equal(p.data, ref[k]), (t, k)
+
+    def test_absent_gradient_moves_once_moment_is_nonzero(self):
+        p = Tensor(np.array([1.0, 2.0]))
+        opt = Adam({"p": p}, AdamConfig())
+        p.grad = np.array([0.5, 0.0])
+        opt.step()
+        after_first = p.data.copy()
+        assert after_first[1] == 2.0  # zero moments: no move
+        opt.zero_grads()
+        opt.step()  # absent gradient counts as zero and the moments decay
+        assert p.data[0] < after_first[0]
+        assert p.data[1] == 2.0
 
 
 def _fresh_copy(dataset, tmp_path, name):
@@ -265,37 +304,49 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_ridge(rng.standard_normal((10, 2)), rng.standard_normal(10), -1.0)
 
-    def test_cd_satisfies_kkt(self, rng):
+    def test_lasso_satisfies_kkt(self, rng):
         for seed in range(5):
             r = np.random.default_rng(seed)
             X = r.standard_normal((80, 10))
             y = X @ r.standard_normal(10) + 0.1 * r.standard_normal(80)
             for l1, l2 in ((0.05, 0.0), (0.05, 0.02), (0.5, 0.0)):
-                w, b, sweeps = solve_coordinate_descent(X, y, l1, l2)
-                assert sweeps >= 1
+                w, b, iterations = solve_lasso(X, y, l1, l2)
+                assert iterations >= 1
                 assert kkt_residual(X, y, w, b, l1, l2) <= 1e-6
 
-    def test_cd_large_l1_zeroes_coefficients(self, rng):
+    def test_lasso_exact_on_nearly_collinear_columns(self, rng):
+        # two columns correlated at about 0.99996, as two scaled link
+        # features are: the active-set solve ends in a few iterations with
+        # the optimality residual at rounding level
+        X = rng.standard_normal((200, 6))
+        X[:, 1] = X[:, 0] + 0.009 * rng.standard_normal(200)
+        y = X @ np.array([1.0, 0.5, 0.0, -0.3, 0.0, 0.2]) + 0.1 * rng.standard_normal(200)
+        for l1, l2 in ((0.01, 0.0), (0.005, 0.005)):
+            w, b, iterations = solve_lasso(X, y, l1, l2)
+            assert iterations <= 20
+            assert kkt_residual(X, y, w, b, l1, l2) <= 1e-12
+
+    def test_lasso_large_l1_zeroes_coefficients(self, rng):
         X = rng.standard_normal((60, 8))
         y = X[:, 0] * 2.0 + 0.05 * rng.standard_normal(60)
-        w, _, _ = solve_coordinate_descent(X, y, l1=1.0)
+        w, _, _ = solve_lasso(X, y, l1=1.0)
         assert np.sum(w == 0.0) >= 6  # only the informative coordinate survives
 
-    def test_cd_without_l1_matches_ridge(self, rng):
+    def test_lasso_without_l1_matches_ridge(self, rng):
         X = rng.standard_normal((70, 5))
         y = rng.standard_normal(70)
         lam = 0.3
-        w_cd, b_cd, _ = solve_coordinate_descent(X, y, l1=0.0, l2=lam, tol=1e-12)
-        # cd objective mse + l2*sum w^2 matches ridge's mse + lam*||w||^2
+        w_cd, b_cd, _ = solve_lasso(X, y, l1=0.0, l2=lam, tol=1e-12)
+        # the objective mse + l2*sum w^2 matches ridge's mse + lam*||w||^2
         w_r, b_r = solve_ridge(X, y, lam)
         assert w_cd == pytest.approx(w_r, abs=1e-6)
         assert b_cd == pytest.approx(b_r, abs=1e-6)
 
-    def test_cd_no_convergence(self, rng):
+    def test_lasso_no_convergence(self, rng):
         X = rng.standard_normal((40, 6))
         y = rng.standard_normal(40)
         with pytest.raises(NoConvergence):
-            solve_coordinate_descent(X, y, l1=0.01, max_sweeps=1)
+            solve_lasso(X, y, l1=0.01, max_iter=1)
 
     def test_ols_kkt_residual_zero(self, rng):
         X = rng.standard_normal((50, 4))
@@ -309,7 +360,7 @@ class TestSolvers:
         with pytest.raises(LengthMismatch):
             solve_ridge(rng.standard_normal((5, 2)), rng.standard_normal(6), 0.1)
         with pytest.raises(LengthMismatch):
-            solve_coordinate_descent(rng.standard_normal((5, 2)), rng.standard_normal(6), 0.1)
+            solve_lasso(rng.standard_normal((5, 2)), rng.standard_normal(6), 0.1)
 
 
 class TestFitLinear:
@@ -324,7 +375,7 @@ class TestFitLinear:
 
     def test_l1_variant_reports_sweeps(self, small_dataset):
         bundle, _ = fit_linear("lin_l1", small_dataset, TrainConfig(seed=0))
-        assert bundle.meta["epochs"] > 1  # coordinate descent sweep count
+        assert bundle.meta["epochs"] > 1  # feature-sign search iteration count
 
     def test_non_linear_variant_rejected(self, small_dataset):
         with pytest.raises(ValueError):
