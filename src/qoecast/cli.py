@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,14 @@ from .seeding import derive_seed
 from .serve import FeedbackPolicy, run_stream
 from .synthgen import GeneratorConfig, generate_trace
 from .telemetry import load_trace, write_trace
-from .train import TrainConfig, run_all_variants, train_variant
-from .zoo import ALL_VARIANTS, load_bundle, save_bundle
+from .train import (
+    TrainConfig,
+    VariantOutcome,
+    pool_workers,
+    run_all_variants,
+    train_and_save,
+)
+from .zoo import ALL_VARIANTS, load_bundle
 
 
 class UsageError(Exception):
@@ -51,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_manifest(out_dir: Path, command: str, args_ns: argparse.Namespace,
-                    seed: int | None, artifacts: list[str]) -> None:
+                    seed: int | None, artifacts: list[str], **extra) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool": "qoecast",
@@ -62,6 +67,7 @@ def _write_manifest(out_dir: Path, command: str, args_ns: argparse.Namespace,
         "master_seed": seed,
         "created_unix": time.time(),
         "artifacts": sorted(artifacts),
+        **extra,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8")
@@ -117,7 +123,16 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+def _variant_record(o: VariantOutcome) -> dict:
+    """A variant's line in the train manifest; wall-clock values go here,
+    never into summary.csv."""
+    return {"variant_id": o.variant_id, "status": o.status,
+            "epochs": None if o.bundle is None else o.bundle.meta["epochs"],
+            "fit_s": round(o.fit_s, 4)}
+
+
 def cmd_train(args) -> int:
+    t0 = time.perf_counter()
     ds = load_dataset(Path(args.data))
     config = TrainConfig(seed=args.seed, batch_size=args.batch_size,
                          max_epochs=args.max_epochs, loss=args.loss)
@@ -126,7 +141,10 @@ def cmd_train(args) -> int:
         outcomes = run_all_variants(ds, config, out)
         artifacts = ["summary.csv"] + [
             f"{o.variant_id}.bundle.json" for o in outcomes if o.bundle is not None]
-        _write_manifest(out, "train", args, args.seed, artifacts)
+        _write_manifest(out, "train", args, args.seed, artifacts,
+                        workers=pool_workers(),
+                        wall_s=round(time.perf_counter() - t0, 4),
+                        variants=[_variant_record(o) for o in outcomes])
         failed = [o for o in outcomes if o.bundle is None]
         for o in outcomes:
             line = o.status if o.bundle is None else (
@@ -136,15 +154,13 @@ def cmd_train(args) -> int:
         return 0 if not failed else 2
     if args.variant is None:
         raise UsageError("train: pass --variant <id> or --all")
-    cfg = replace(config, seed=derive_seed(config.seed, f"variant:{args.variant}"))
-    bundle, history = train_variant(args.variant, ds, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    save_bundle(bundle, out / f"{args.variant}.bundle.json")
-    history.write_csv(out / f"{args.variant}.history.csv")
+    o = train_and_save(args.variant, ds, config, out)
     _write_manifest(out, "train", args, args.seed,
-                    [f"{args.variant}.bundle.json", f"{args.variant}.history.csv"])
-    print(f"{args.variant}: epochs={bundle.meta['epochs']} "
-          f"val_loss={bundle.meta['val_loss']:.6f} -> {out}")
+                    [f"{args.variant}.bundle.json", f"{args.variant}.history.csv"],
+                    wall_s=round(time.perf_counter() - t0, 4),
+                    variants=[_variant_record(o)])
+    print(f"{args.variant}: epochs={o.bundle.meta['epochs']} "
+          f"val_loss={o.bundle.meta['val_loss']:.6f} -> {out}")
     return 0
 
 

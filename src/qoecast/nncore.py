@@ -656,6 +656,11 @@ class GradientCheckReport:
     passed: bool
     nonsmooth_entries: int = 0
 
+    @property
+    def probed_entries(self) -> int:
+        """Coordinates probed: the checked ones plus the excluded ones."""
+        return self.checked_entries + self.nonsmooth_entries
+
 
 def gradient_check(
     forward_fn: Callable[[dict[str, Tensor], Tensor, Tape | None], Tensor],
@@ -680,7 +685,9 @@ def gradient_check(
     interval, so the quotient blends one-sided derivatives, or curvature
     exceeds what this eps resolves; in both cases the quotient cannot
     certify the gradient to tol_rel. Smooth coordinates agree to O(eps^2)
-    and stay far inside the gate.
+    and stay far inside the gate. `passed` speaks only for the checked
+    coordinates; probed_entries (checked + nonsmooth) lets a caller bound
+    the excluded share.
     """
     p_tensors = {k: Tensor(v) for k, v in params.items()}
     x_tensor = Tensor(inputs)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -502,6 +504,7 @@ class VariantOutcome:
     status: str  # "ok" or "failed: <reason>"
     bundle: ModelBundle | None
     history: TrainHistory | None
+    fit_s: float = 0.0  # wall seconds of the fit, timed where it ran
 
 
 def train_variant(variant_id: str, dataset: PreparedDataset,
@@ -512,27 +515,103 @@ def train_variant(variant_id: str, dataset: PreparedDataset,
     return train_neural(model, dataset, config)
 
 
+def train_and_save(variant_id: str, dataset: PreparedDataset, config: TrainConfig,
+                   out_dir: str | Path) -> VariantOutcome:
+    """Fit one variant under the seed derived from config.seed for it, then
+    write <id>.bundle.json and <id>.history.csv to out_dir. Errors propagate."""
+    cfg = replace(config, seed=derive_seed(config.seed, f"variant:{variant_id}"))
+    t0 = time.perf_counter()
+    bundle, history = train_variant(variant_id, dataset, cfg)
+    fit_s = time.perf_counter() - t0
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_bundle(bundle, out / f"{variant_id}.bundle.json")
+    history.write_csv(out / f"{variant_id}.history.csv")
+    return VariantOutcome(variant_id, "ok", bundle, history, fit_s)
+
+
+def _variant_job(variant_id: str, dataset: PreparedDataset, config: TrainConfig,
+                 out_dir: Path) -> VariantOutcome:
+    """One pool job: train_and_save with any exception turned into a failed
+    outcome, so that an exception that does not pickle cannot break the pool."""
+    t0 = time.perf_counter()
+    try:
+        return train_and_save(variant_id, dataset, config, out_dir)
+    except Exception as exc:  # noqa: BLE001 - summary must list the failure
+        return VariantOutcome(variant_id, f"failed: {exc}", None, None,
+                              time.perf_counter() - t0)
+
+
+def pool_workers() -> int:
+    """Worker processes of run_all_variants: one per CPU this process may
+    run on, and no more than there are variants."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = 0
+    return min(cpus or os.cpu_count() or 1, len(ALL_VARIANTS))
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_for_children():
+    """Set the BLAS thread variables to 1 in os.environ, which the processes
+    started inside inherit, and restore them on exit. This process's BLAS
+    read them when numpy was imported and keeps its own thread count."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_all_variants(dataset: PreparedDataset, config: TrainConfig,
                      out_dir: str | Path) -> list[VariantOutcome]:
     """Train every registered variant; write bundles, histories, summary.csv.
 
-    One failing variant is recorded and does not abort the rest. summary.csv
-    holds only run-independent values so identical seeds give identical
-    bytes.
+    The fits share no state, so each runs as one job in a pool of
+    pool_workers() processes started with `spawn` (no fork of a process
+    whose BLAS threads may be running); every fit's randomness hangs off its
+    own derived seed. Each worker runs one BLAS thread, whatever the
+    caller's settings, so the workers do not oversubscribe the CPUs and the
+    results are those of one process with one BLAS thread on any CPU count.
+    One failing variant is recorded and does not abort the rest; a worker
+    that dies fails the variants it had not returned. summary.csv holds only
+    run-independent values, in registry order, so identical seeds give
+    identical bytes.
+
+    `spawn` workers import the caller's main module, so a script that calls
+    this must do so under `if __name__ == "__main__":`; without the guard
+    every worker dies at start-up and all variants come back failed.
     """
+    # imported here: the pool machinery adds about 15 ms to every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outcomes: list[VariantOutcome] = []
-    for vid in ALL_VARIANTS:
-        cfg = replace(config, seed=derive_seed(config.seed, f"variant:{vid}"))
+    with _one_blas_thread_for_children():
+        pool = ProcessPoolExecutor(pool_workers(),
+                                   mp_context=multiprocessing.get_context("spawn"))
         try:
-            bundle, history = train_variant(vid, dataset, cfg)
-        except Exception as exc:  # noqa: BLE001 - summary must list the failure
-            outcomes.append(VariantOutcome(vid, f"failed: {exc}", None, None))
-            continue
-        save_bundle(bundle, out / f"{vid}.bundle.json")
-        history.write_csv(out / f"{vid}.history.csv")
-        outcomes.append(VariantOutcome(vid, "ok", bundle, history))
+            jobs = [pool.submit(_variant_job, vid, dataset, config, out)
+                    for vid in ALL_VARIANTS]
+            for vid, job in zip(ALL_VARIANTS, jobs):
+                try:
+                    outcomes.append(job.result())
+                except Exception as exc:  # noqa: BLE001 - a dead worker or unpicklable input
+                    outcomes.append(VariantOutcome(vid, f"failed: {exc}", None, None))
+        finally:
+            # on an interrupt, drop the fits not yet started instead of running them
+            pool.shutdown(cancel_futures=True)
 
     with (out / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -340,6 +340,13 @@ class TestInit:
         assert not np.array_equal(a["w"], c["w"])
 
 
+def _assert_few_excluded(rep):
+    """At most 1 % of the probed coordinates excluded as non-smooth, the
+    share criterion 1 allows in aggregate."""
+    assert rep.nonsmooth_entries <= 0.01 * rep.probed_entries, \
+        (rep.nonsmooth_entries, rep.probed_entries)
+
+
 class TestGradientCheck:
     @staticmethod
     def _linear(params, x, tape):
@@ -351,6 +358,7 @@ class TestGradientCheck:
         params = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
         rep = gradient_check(self._linear, params, rng.standard_normal((5, 4)))
         assert rep.passed
+        _assert_few_excluded(rep)
         assert rep.max_rel_err < 1e-7
         assert set(rep.per_tensor) == {"w", "b", "__inputs__"}
 
@@ -364,6 +372,7 @@ class TestGradientCheck:
 
         rep = gradient_check(bad, {"w": rng.standard_normal(4)}, np.zeros(1))
         assert not rep.passed
+        _assert_few_excluded(rep)
         assert rep.max_rel_err > 0.4
 
     def test_subset_counts(self, rng):
@@ -372,6 +381,7 @@ class TestGradientCheck:
             lambda p, x, tape: reduce_mean(tape, matmul(tape, x, p["w"])),
             params, rng.standard_normal((2, 10)), max_entries=7)
         assert rep.checked_entries == 7 + 7  # both tensors subsampled
+        _assert_few_excluded(rep)
 
 
 # ---------------------------------------------------------- recurrent layers
@@ -453,6 +463,7 @@ class TestRecurrentLayers:
 
         rep = gradient_check(forward, params, rng.standard_normal((batch, 5, 3)))
         assert rep.passed, rep.per_tensor
+        _assert_few_excluded(rep)
         assert set(rep.per_tensor) == set(params) | {"__inputs__"}
         assert rep.checked_entries >= 0.9 * (sum(a.size for a in params.values())
                                              + min(batch * 15, 256))
@@ -532,7 +543,7 @@ class TestEncoderBlock:
                              eps=1e-5, max_entries=48, seed=batch)
         assert rep.passed, rep.per_tensor
         assert set(rep.per_tensor) == set(ENCODER_PARAMS) | {"__inputs__"}
-        assert rep.nonsmooth_entries <= rep.checked_entries // 50
+        _assert_few_excluded(rep)
 
     @pytest.mark.parametrize("heads,ff,rate,train", [
         (2, 64, 0.1, True), (4, 64, 0.1, True), (2, 128, 0.05, True), (4, 128, 0.1, False)])

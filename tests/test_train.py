@@ -1,9 +1,17 @@
+import contextlib
 import csv
+import io
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from qoecast.cli import main
 from qoecast.errors import (
     DivergedLoss,
     EmptySplit,
@@ -26,6 +34,7 @@ from qoecast.train import (
     logcosh_value,
     mse_loss,
     mse_value,
+    pool_workers,
     run_all_variants,
     solve_lasso,
     solve_ols,
@@ -426,3 +435,100 @@ class TestRunAll:
         assert rows["gru_basic"]["status"].startswith("failed: ")
         assert rows["gru_basic"]["epochs"] == ""
         assert not (out / "gru_basic.bundle.json").exists()
+
+    def test_pool_matches_one_process_fits(self, small_dataset, tmp_path, monkeypatch):
+        # every worker's bundle is byte for byte the fit of one process with
+        # one BLAS thread, and its history differs at most in the wall-clock
+        # column; the caller's BLAS variables come back as they were
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        config = TrainConfig(seed=5, max_epochs=2)
+        out = tmp_path / "models"
+        run_all_variants(small_dataset, config, out)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ
+
+        (tmp_path / "ds.pkl").write_bytes(pickle.dumps(small_dataset))
+        script = (
+            "import pickle, sys\n"
+            "from dataclasses import replace\n"
+            "from pathlib import Path\n"
+            "from qoecast.seeding import derive_seed\n"
+            "from qoecast.train import TrainConfig, train_variant\n"
+            "from qoecast.zoo import ALL_VARIANTS, save_bundle\n"
+            "ds = pickle.loads(Path(sys.argv[1]).read_bytes())\n"
+            "ref = Path(sys.argv[2])\n"
+            "ref.mkdir()\n"
+            "config = TrainConfig(seed=5, max_epochs=2)\n"
+            "for vid in ALL_VARIANTS:\n"
+            "    cfg = replace(config, seed=derive_seed(config.seed, f'variant:{vid}'))\n"
+            "    bundle, history = train_variant(vid, ds, cfg)\n"
+            "    save_bundle(bundle, ref / f'{vid}.bundle.json')\n"
+            "    history.write_csv(ref / f'{vid}.history.csv')\n"
+        )
+        ref = tmp_path / "one_process"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "ds.pkl"), str(ref)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        for vid in ALL_VARIANTS:
+            name = f"{vid}.bundle.json"
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), vid
+            name = f"{vid}.history.csv"
+            assert _sans_seconds(out / name) == _sans_seconds(ref / name), vid
+
+    def test_manifest_records_workers_and_fit_times(self, small_dataset, tmp_path):
+        save_dataset(small_dataset, tmp_path / "ds")
+        manifests = {}
+        for name, mode in (("all", ["--all"]), ("one", ["--variant", "dnn_basic"])):
+            out = tmp_path / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["train", "--data", str(tmp_path / "ds"), *mode,
+                             "--max-epochs", "1", "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["wall_s"] > 0.0
+            for rec in manifest["variants"]:
+                assert rec["status"] == "ok"
+                assert rec["epochs"] >= 1
+                assert rec["fit_s"] >= 0.0
+            manifests[name] = manifest
+        run_all, one = manifests["all"], manifests["one"]
+        assert run_all["workers"] == pool_workers() >= 1
+        assert [r["variant_id"] for r in run_all["variants"]] == list(ALL_VARIANTS)
+        assert [r["variant_id"] for r in one["variants"]] == ["dnn_basic"]
+        assert "workers" not in one
+        # wall-clock values stay out of summary.csv
+        with (tmp_path / "all" / "summary.csv").open(newline="", encoding="utf-8") as fh:
+            assert "fit_s" not in next(csv.reader(fh))
+
+    def test_dead_worker_fails_its_variants_without_hanging(self, tmp_path):
+        # the dataset's unpickling ends the worker process before any fit
+        # starts: every variant comes back failed and the summary is written
+        script = (
+            "import json, os, sys\n"
+            "from qoecast.train import TrainConfig, run_all_variants\n"
+            "class Fatal:\n"
+            "    def __reduce__(self):\n"
+            "        return (os._exit, (1,))\n"
+            "outcomes = run_all_variants(Fatal(), TrainConfig(seed=5, max_epochs=1), "
+            "sys.argv[1])\n"
+            "print(json.dumps([[o.variant_id, o.status] for o in outcomes]))\n"
+        )
+        out = tmp_path / "models"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        outcomes = json.loads(proc.stdout.splitlines()[-1])
+        assert [vid for vid, _ in outcomes] == list(ALL_VARIANTS)
+        assert all(status.startswith("failed: ") for _, status in outcomes)
+        with (out / "summary.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["variant_id"] for r in rows] == list(ALL_VARIANTS)
+        assert all(r["status"].startswith("failed: ") for r in rows)
+        assert not list(out.glob("*.bundle.json"))
+
+
+def _sans_seconds(path):
+    return [row[:4] for row in csv.reader(path.read_text().splitlines())]
