@@ -87,10 +87,9 @@ def cmd_generate(args) -> int:
             trace_id=f"trace_{i:02d}",
         )
         trace = generate_trace(cfg)
-        suffix = "ndjson" if args.format == "ndjson" else "csv"
-        trace_path = out / f"trace_{i:02d}.{suffix}"
+        trace_path = out / f"trace_{i:02d}.{args.format}"  # the suffix names the format
         labels_path = out / f"labels_{i:02d}.csv"
-        write_trace(trace, trace_path, fmt=args.format, labels_path=labels_path,
+        write_trace(trace, trace_path, labels_path=labels_path,
                     inband_qoe=args.inband_qoe, window_s=args.window_s)
         artifacts += [trace_path.name, labels_path.name]
     _write_manifest(out, "generate", args, args.seed, artifacts)
@@ -105,8 +104,7 @@ def _load_traces(data_dir: Path):
         raise QoecastError(f"no trace_*.csv / trace_*.ndjson files in {data_dir}")
     for p in paths:
         labels = data_dir / p.name.replace("trace_", "labels_").replace(p.suffix, ".csv")
-        res = load_trace(p, labels_path=labels if labels.exists() else None)
-        traces.append(res.trace)
+        traces.append(load_trace(p, labels_path=labels if labels.exists() else None))
     return traces
 
 

@@ -25,15 +25,17 @@ from typing import Callable, IO, Iterable
 
 import numpy as np
 
-from .errors import MalformedRow, OutOfOrderSample, QoecastError, ScalerMissing
+from .errors import OutOfOrderSample, QoecastError, ScalerMissing
 from .explain import integrated_gradients
 from .pipeline import inverse_target, scale_features
 from .synthgen import window_qoe
-from .telemetry import TelemetrySample, Window, WindowAggregator, _parse_record
+from .telemetry import (TelemetrySample, Window, WindowAggregator, _parse_record,
+                        decode_json_line)
 from .zoo import BundleRunner, ModelBundle
 
 ACTIONS = ("none", "reduce_bitrate", "alert")
 _SEVERITY = {a: i for i, a in enumerate(ACTIONS)}
+EXPLAIN_TOP_K = 3  # attribution cells attached to an explained alert
 
 
 @dataclass(frozen=True)
@@ -197,18 +199,6 @@ class StreamState:
 
 # ----------------------------------------------------------------- NDJSON IO
 
-def _parse_stream_line(line: str, record_no: int) -> TelemetrySample:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRow(record_no, "record", f"invalid json: {exc.msg}") from None
-    except RecursionError:
-        raise MalformedRow(record_no, "record", "json nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise MalformedRow(record_no, "record", "not an object")
-    return _parse_record(obj, record_no)
-
-
 def run_stream(
     bundle: ModelBundle,
     policy: FeedbackPolicy,
@@ -217,16 +207,16 @@ def run_stream(
     explain_on_alert: bool = False,
     tick_s: float = 1.0,
     clock: Callable[[], float] = time.perf_counter,
-    explain_top_k: int = 3,
 ) -> dict:
     """Consume NDJSON telemetry, emit NDJSON decisions, return a summary.
 
     Bad input lines become error records on the output stream instead of
     terminating the run. Each decision carries the ingest-to-emit latency as
     measured by `clock`. When explain_on_alert is set, alert decisions are
-    annotated with the top attribution cells; cheaper decisions never wait
-    on explanation work. Floats are rendered with shortest round-trip
-    formatting, so equal predictions give byte-equal output.
+    annotated with the top EXPLAIN_TOP_K attribution cells; cheaper
+    decisions never wait on explanation work. Floats are rendered with
+    shortest round-trip formatting, so equal predictions give byte-equal
+    output.
     """
     state = StreamState(bundle, policy, tick_s=tick_s)
     record_no = 0
@@ -236,7 +226,7 @@ def run_stream(
             attribution = integrated_gradients(bundle, decision.inputs_scaled)
             decision.explain = [
                 {"window": w, "feature": f, "attribution": v}
-                for w, f, v in attribution.top_k(explain_top_k)
+                for w, f, v in attribution.top_k(EXPLAIN_TOP_K)
             ]
         decision.latency_ms = (clock() - t0) * 1000.0
         outstream.write(json.dumps(decision.to_record()) + "\n")
@@ -247,7 +237,7 @@ def run_stream(
         record_no += 1
         t0 = clock()
         try:
-            sample = _parse_stream_line(line, record_no)
+            sample = _parse_record(decode_json_line(line, record_no), record_no)
             decision = state.ingest(sample)
         except QoecastError as exc:
             state.stats.errors += 1

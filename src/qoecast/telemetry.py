@@ -6,7 +6,8 @@ once built; every later stage treats them as read-only inputs.
 
 Supported on-disk formats: CSV with a fixed header, and NDJSON with one
 object per line using the same keys. Labels always travel as a small CSV
-(window_index,qoe).
+(window_index,qoe). NDJSON trace files and live streams share one line
+decoder (decode_json_line) and one record validator (_parse_record).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import logging
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyTrace, MalformedRow, NonMonotonicTimestamp
@@ -210,12 +211,6 @@ class WindowAggregator:
         return win
 
 
-@dataclass
-class LoadResult:
-    trace: Trace
-    skipped: list[tuple[int, str]] = field(default_factory=list)
-
-
 # ------------------------------------------------------------------ parsing
 
 # Every comparison is False for NaN and each upper bound excludes infinity,
@@ -283,7 +278,34 @@ def _parse_record(raw: dict, record_no: int) -> TelemetrySample:
     return TelemetrySample(qoe=qoe, **vals)
 
 
-def _iter_csv_records(text: str):
+def _trace_format(path: str | Path) -> str:
+    """The trace format a file's suffix names: "ndjson" for .ndjson, .jsonl
+    and .json, else "csv"."""
+    return "ndjson" if Path(path).suffix in (".ndjson", ".jsonl", ".json") else "csv"
+
+
+def decode_json_line(line: str, record_no: int) -> dict:
+    """Decode one NDJSON line into its record object, for trace files and
+    live streams alike.
+
+    Raises MalformedRow on field "record" for invalid JSON, for nesting too
+    deep to decode, and for a value that is not an object.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRow(record_no, "record", f"invalid json: {exc.msg}") from None
+    except RecursionError:
+        raise MalformedRow(record_no, "record", "json nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise MalformedRow(record_no, "record", "not an object")
+    return obj
+
+
+_KNOWN_FIELDS = frozenset(FIELD_NAMES) | {"qoe"}
+
+
+def _csv_records(text: str) -> Iterator[tuple[int, dict]]:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -293,94 +315,50 @@ def _iter_csv_records(text: str):
     missing = [n for n in FIELD_NAMES if n not in header]
     if missing:
         raise MalformedRow(0, missing[0], "column missing from header")
-    extra = [h for h in header if h not in FIELD_NAMES and h != "qoe"]
+    extra = [h for h in header if h not in _KNOWN_FIELDS]
     if extra:
         logger.warning("ignoring unknown trace columns: %s", ", ".join(extra))
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
-            yield None, None  # blank line, skipped
-            continue
-        yield dict(zip(header, row)), None
+    for record_no, row in enumerate(reader, start=1):
+        if any(c.strip() for c in row):
+            yield record_no, dict(zip(header, row))
 
 
-def _iter_ndjson_records(text: str):
+def _ndjson_records(text: str) -> Iterator[tuple[int, dict]]:
     warned: set[str] = set()
-    for line in text.splitlines():
+    for record_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
-            yield None, None
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield None, f"invalid json: {exc.msg}"
-            continue
-        if not isinstance(obj, dict):
-            yield None, "record is not an object"
-            continue
-        unknown = set(obj) - set(FIELD_NAMES) - {"qoe"}
-        for key in unknown - warned:
+        obj = decode_json_line(line, record_no)
+        for key in obj.keys() - _KNOWN_FIELDS - warned:
             logger.warning("ignoring unknown trace field: %s", key)
             warned.add(key)
-        yield obj, None
+        yield record_no, obj
 
 
 def load_trace(
     path: str | Path,
-    fmt: str | None = None,
     labels_path: str | Path | None = None,
     tick_s: float = 1.0,
-    strict: bool = True,
-    trace_id: str | None = None,
-) -> LoadResult:
-    """Load a trace file into a Trace.
+) -> Trace:
+    """Load a trace file, in the format its suffix names, into a Trace whose
+    id is the file stem.
 
-    fmt is "csv" or "ndjson"; when omitted it is inferred from the suffix.
-    In strict mode (default) the first malformed value raises MalformedRow
-    and only blank lines are skipped; with strict=False malformed rows are
-    skipped and reported in LoadResult.skipped as (record_no, reason).
-    Timestamp monotonicity and emptiness are always hard errors.
+    Blank lines are skipped but still counted in record numbers. The first
+    malformed record raises MalformedRow naming its number and field; a
+    timestamp that does not increase raises NonMonotonicTimestamp.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "ndjson" if path.suffix in (".ndjson", ".jsonl", ".json") else "csv"
-    if fmt not in ("csv", "ndjson"):
-        raise ValueError(f"unknown trace format: {fmt}")
     text = path.read_text(encoding="utf-8")
-
-    records = _iter_csv_records(text) if fmt == "csv" else _iter_ndjson_records(text)
-    samples: list[TelemetrySample] = []
-    skipped: list[tuple[int, str]] = []
-    record_no = 0
-    for raw, pre_reason in records:
-        record_no += 1
-        if raw is None:
-            if pre_reason is None:
-                skipped.append((record_no, "blank line"))
-                continue
-            if strict:
-                raise MalformedRow(record_no, "record", pre_reason)
-            skipped.append((record_no, pre_reason))
-            continue
-        try:
-            samples.append(_parse_record(raw, record_no))
-        except MalformedRow as exc:
-            if strict:
-                raise
-            skipped.append((record_no, f"{exc.field}: skipped"))
+    records = _ndjson_records(text) if _trace_format(path) == "ndjson" else _csv_records(text)
+    samples = tuple(_parse_record(raw, record_no) for record_no, raw in records)
     if not samples:
         raise EmptyTrace(f"{path}: no valid samples")
 
     labels = load_labels(labels_path) if labels_path is not None else None
     try:
-        trace = Trace(
-            samples=tuple(samples),
-            tick_s=tick_s,
-            labels=labels,
-            trace_id=trace_id if trace_id is not None else path.stem,
-        )
+        return Trace(samples=samples, tick_s=tick_s, labels=labels, trace_id=path.stem)
     except NonMonotonicTimestamp as exc:
         raise NonMonotonicTimestamp(f"{path}: {exc}") from None
-    return LoadResult(trace=trace, skipped=skipped)
 
 
 def load_labels(path: str | Path) -> tuple[tuple[int, float], ...]:
@@ -423,7 +401,7 @@ def write_trace(
     """
     path = Path(path)
     if fmt is None:
-        fmt = "ndjson" if path.suffix in (".ndjson", ".jsonl", ".json") else "csv"
+        fmt = _trace_format(path)
     label_of = trace.label_map() if inband_qoe else {}
     window_ms = window_s * 1000
 

@@ -100,7 +100,6 @@ class AdamConfig:
 class EarlyStopConfig:
     patience: int = 10
     min_delta: float = 1e-7  # absolute val-loss improvement that counts
-    restore_best: bool = True
 
 
 @dataclass(frozen=True)
@@ -303,9 +302,8 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
                 history.stopped_early = True
                 break
 
-    if es.restore_best:
-        for k, p in params.items():
-            p.data = best_weights[k]
+    for k, p in params.items():
+        p.data = best_weights[k]
 
     bundle = ModelBundle(
         variant_id=model.variant_id,

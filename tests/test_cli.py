@@ -45,15 +45,15 @@ class TestPipelineFlow:
 
     def test_generated_trace_matches_library_fanout(self, flow):
         # the CLI derives per-trace seeds from the master seed
-        res = load_trace(flow / "data" / "trace_00.csv",
-                         labels_path=flow / "data" / "labels_00.csv")
+        trace = load_trace(flow / "data" / "trace_00.csv",
+                           labels_path=flow / "data" / "labels_00.csv")
         ref = generate_trace(GeneratorConfig(seed=derive_seed(5, "trace:0"),
                                              duration_s=600,
                                              trace_id="trace_00"))
-        assert len(res.trace.samples) == 600
-        assert [s.to_dict() for s in res.trace.samples] == \
+        assert len(trace.samples) == 600
+        assert [s.to_dict() for s in trace.samples] == \
                [s.to_dict() for s in ref.samples]
-        assert res.trace.labels == ref.labels
+        assert trace.labels == ref.labels
 
     def test_prepare_dataset_counts(self, flow):
         ds = load_dataset(flow / "ds")
@@ -187,6 +187,20 @@ class TestExitCodes:
         assert main(["prepare", "--data", str(empty), "--out",
                      str(tmp_path / "ds")]) == 2
         assert "no trace_" in capsys.readouterr().err
+
+    def test_prepare_rejects_a_deeply_nested_line(self, tmp_path, capsys):
+        # used to exit 3 with an internal RecursionError
+        data = tmp_path / "data"
+        data.mkdir()
+        good = ('{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
+                '"loss_rate": 0.01, "loss_count": 10, "speed_kmh": 40.0}')
+        (data / "trace_00.ndjson").write_text(
+            good + "\n" + "[" * 100000 + "]" * 100000 + "\n")
+        assert main(["prepare", "--data", str(data), "--out",
+                     str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedRow: record 2: bad value for 'record'" in err
+        assert "json nested too deeply" in err
 
     def test_evaluate_without_bundles_is_data_error(self, flow, tmp_path):
         empty = tmp_path / "norun"

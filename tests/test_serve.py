@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoecast.errors import OutOfOrderSample, ScalerMissing
+from qoecast.errors import MalformedRow, OutOfOrderSample, ScalerMissing
 from qoecast.pipeline import ScalerStats, scale_features
 from qoecast.seeding import derive_seed
 from qoecast.serve import (
@@ -16,7 +16,7 @@ from qoecast.serve import (
     run_stream,
 )
 from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle
-from qoecast.telemetry import TelemetrySample, Trace, write_trace
+from qoecast.telemetry import TelemetrySample, Trace, load_trace, write_trace
 from qoecast.zoo import BundleRunner, ModelBundle, load_bundle
 from qoecast.pipeline import inverse_target, window_trace
 
@@ -53,6 +53,37 @@ def _sample(i, thr=30.0, jit=15.0, loss=0.01, loss_count=10, speed=40.0,
 def _line(i, **kw):
     s = _sample(i, **kw)
     return json.dumps(s.to_dict()) + "\n"
+
+
+# Lines that trace files and live streams both reject, each with the field
+# its MalformedRow names.
+BAD_LINES = [
+    pytest.param("{not json", "record", id="invalid_json"),
+    pytest.param("[1, 2]", "record", id="not_object"),
+    # deep nesting used to end the stream, and prepare, with RecursionError
+    pytest.param("[" * 100000 + "]" * 100000, "record", id="nesting"),
+    pytest.param('{"ts_ms": 0, "throughput_mbps": Infinity, "jitter_ms": 30.0, '
+                 '"loss_rate": 0.01, "loss_count": 10, "speed_kmh": 40.0}',
+                 "throughput_mbps", id="infinity"),
+    # json reads 1e400 as inf, which used to end the stream with OverflowError
+    pytest.param('{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
+                 '"loss_rate": 0.01, "loss_count": 1e400, "speed_kmh": 40.0}',
+                 "loss_count", id="overflow"),
+]
+
+
+@pytest.mark.parametrize("bad,field", BAD_LINES)
+def test_trace_file_rejects_the_same_lines(tmp_path, bad, field):
+    # file record numbers count the blank line; stream ones do not
+    p = tmp_path / "t.ndjson"
+    p.write_text(_line(0) + "\n" + bad + "\n")
+    with pytest.raises(MalformedRow) as e:
+        load_trace(p)
+    assert (e.value.record_no, e.value.field) == (3, field)
+    out = io.StringIO()
+    run_stream(_lv_bundle(), POLICY, ["\n", bad + "\n"], out)
+    streamed = json.loads(out.getvalue().splitlines()[0])
+    assert streamed["detail"] == str(e.value).replace("record 3:", "record 1:", 1)
 
 
 class TestDecide:
@@ -240,22 +271,15 @@ class TestRunStream:
         assert summary["errors"] == 3
         assert summary["forecasts"] == 1  # the 50 good ticks still forecast
 
-    @pytest.mark.parametrize("bad", [
-        # json reads 1e400 as inf, which used to end the stream with OverflowError
-        '{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, "loss_rate": 0.01, '
-        '"loss_count": 1e400, "speed_kmh": 40.0}',
-        # deep nesting used to end the stream with RecursionError
-        "[" * 100000 + "]" * 100000,
-        '{"ts_ms": 0, "throughput_mbps": Infinity, "jitter_ms": 30.0, "loss_rate": 0.01, '
-        '"loss_count": 10, "speed_kmh": 40.0}',
-    ], ids=["overflow", "nesting", "infinity"])
-    def test_no_input_line_ends_the_stream(self, bad):
+    @pytest.mark.parametrize("bad,field", BAD_LINES)
+    def test_no_input_line_ends_the_stream(self, bad, field):
         lines = [_line(i) for i in range(60)]
         lines.insert(30, bad + "\n")
         records, summary = self._run(lines)
         errors = [r for r in records if "error" in r]
         assert errors == [{"error": "MalformedRow", "record": 31,
                            "detail": errors[0]["detail"]}]
+        assert errors[0]["detail"].startswith(f"record 31: bad value for {field!r}")
         assert records[-1] == {"summary": summary}
         assert summary["ticks"] == 60 and summary["errors"] == 1
         assert summary["forecasts"] == 2

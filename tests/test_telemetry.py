@@ -6,7 +6,6 @@ import pytest
 from qoecast.errors import EmptyTrace, MalformedRow, NonMonotonicTimestamp
 from qoecast.telemetry import (
     CSV_HEADER,
-    LoadResult,
     TelemetrySample,
     Trace,
     WindowAggregator,
@@ -75,7 +74,7 @@ class TestRoundTrip:
         p = tmp_path / f"t.{fmt}"
         lp = tmp_path / "labels.csv"
         write_trace(tr, p, fmt=fmt, labels_path=lp)
-        back = load_trace(p, labels_path=lp, trace_id="t").trace
+        back = load_trace(p, labels_path=lp)
         assert back == tr
 
     def test_format_inferred_from_suffix(self, tmp_path):
@@ -83,13 +82,13 @@ class TestRoundTrip:
         p = tmp_path / "t.ndjson"
         write_trace(tr, p)
         assert p.read_text().lstrip().startswith("{")
-        assert load_trace(p).trace.samples == tr.samples
+        assert load_trace(p).samples == tr.samples
 
     def test_inband_qoe_attaches_window_labels(self, tmp_path):
         tr = _trace(20, labels=((0, 40.0), (1, 60.0)))
         p = tmp_path / "t.ndjson"
         write_trace(tr, p, inband_qoe=True, window_s=10)
-        back = load_trace(p).trace
+        back = load_trace(p)
         assert all(s.qoe == 40.0 for s in back.samples[:10])
         assert all(s.qoe == 60.0 for s in back.samples[10:])
 
@@ -107,14 +106,6 @@ class TestLoadValidation:
         with pytest.raises(MalformedRow) as e:
             load_trace(p)
         assert e.value.field == "throughput_mbps"
-
-    def test_lenient_skips_with_reason(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text(CSV_HEADER + "\n0,20,15,0.01,10,30\n1000,nope,15,0.01,10,30\n2000,21,15,0.01,10,30\n")
-        res = load_trace(p, strict=False)
-        assert isinstance(res, LoadResult)
-        assert len(res.trace.samples) == 2
-        assert res.skipped and res.skipped[0][0] == 2
 
     def test_loss_rate_out_of_range(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -135,7 +126,7 @@ class TestLoadValidation:
         rows = ["1000,20,15,0.01,10,30", "0,20,15,0.01,10,30"]
         p.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
         with pytest.raises(NonMonotonicTimestamp) as e:
-            load_trace(p, strict=False)
+            load_trace(p)
         assert str(p) in str(e.value)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -147,8 +138,7 @@ class TestLoadValidation:
     def test_blank_lines_skipped_in_strict_mode(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(CSV_HEADER + "\n0,20,15,0.01,10,30\n\n1000,20,15,0.01,10,30\n")
-        res = load_trace(p)
-        assert len(res.trace.samples) == 2
+        assert len(load_trace(p).samples) == 2
 
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -160,8 +150,8 @@ class TestLoadValidation:
         p = tmp_path / "t.csv"
         p.write_text(CSV_HEADER + ",rssi\n0,20,15,0.01,10,30,-70\n")
         with caplog.at_level("WARNING"):
-            res = load_trace(p)
-        assert len(res.trace.samples) == 1
+            tr = load_trace(p)
+        assert len(tr.samples) == 1
         assert any("rssi" in r.message for r in caplog.records)
 
     def test_ndjson_bad_line_strict(self, tmp_path):
@@ -235,12 +225,12 @@ class TestNumericStrictness:
     def test_integral_floats_accepted_for_integer_fields(self, tmp_path):
         p = tmp_path / "t.ndjson"
         p.write_text(_ndjson_record(ts_ms=1500.0, loss_count=10.0) + "\n")
-        s = load_trace(p).trace.samples[0]
+        s = load_trace(p).samples[0]
         assert (s.ts_ms, s.loss_count) == (1500, 10)
         assert type(s.ts_ms) is int and type(s.loss_count) is int
         c = tmp_path / "t.csv"
         c.write_text(CSV_HEADER + "\n1500.0,20,15,0.01,10.0,30\n2000,20,15,0.01,1e1,30\n")
-        assert [(s.ts_ms, s.loss_count) for s in load_trace(c).trace.samples] == \
+        assert [(s.ts_ms, s.loss_count) for s in load_trace(c).samples] == \
             [(1500, 10), (2000, 10)]
 
 

@@ -184,8 +184,7 @@ class TestNeuralTraining:
         # min_delta so large no epoch after the first ever counts as an
         # improvement: stop at epoch 11, keep epoch 1 weights
         cfg = TrainConfig(seed=9, max_epochs=40,
-                          early_stop=EarlyStopConfig(patience=10, min_delta=1e9,
-                                                     restore_best=True))
+                          early_stop=EarlyStopConfig(patience=10, min_delta=1e9))
         bundle, history = train_variant("dnn_basic", small_dataset, cfg)
         assert history.stopped_early
         assert len(history.records) == 11
