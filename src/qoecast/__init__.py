@@ -13,7 +13,7 @@ from .errors import QoecastError
 from .pipeline import FEATURE_NAMES, QOE_FEATURE, build_dataset, load_dataset
 from .serve import FeedbackPolicy, StreamState, decide, run_stream
 from .synthgen import GeneratorConfig, generate_trace, inject_episode, qoe_oracle
-from .telemetry import TelemetrySample, Trace, load_trace, validate_trace, write_trace
+from .telemetry import TelemetrySample, Trace, load_trace, write_trace
 from .train import TrainConfig, run_all_variants, train_variant
 from .zoo import ALL_VARIANTS, BundleRunner, build_variant, load_bundle, save_bundle
 
@@ -42,7 +42,6 @@ __all__ = [
     "run_stream",
     "save_bundle",
     "train_variant",
-    "validate_trace",
     "write_trace",
     "__version__",
 ]

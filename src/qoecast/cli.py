@@ -33,7 +33,7 @@ from .pipeline import build_dataset, load_dataset, save_dataset
 from .seeding import derive_seed
 from .serve import FeedbackPolicy, run_stream
 from .synthgen import GeneratorConfig, generate_trace
-from .telemetry import load_trace, write_trace
+from .telemetry import DEFAULT_WINDOW_S, load_trace, write_trace
 from .train import (
     TrainConfig,
     VariantOutcome,
@@ -110,7 +110,7 @@ def _load_traces(data_dir: Path):
 
 def cmd_prepare(args) -> int:
     traces = _load_traces(Path(args.data))
-    ds = build_dataset(traces, window_s=args.window_s, context=args.context)
+    ds = build_dataset(traces, window_s=args.window_s)
     out = Path(args.out)
     save_dataset(ds, out)
     _write_manifest(out, "prepare", args, None,
@@ -132,8 +132,7 @@ def _variant_record(o: VariantOutcome) -> dict:
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(Path(args.data))
-    config = TrainConfig(seed=args.seed, batch_size=args.batch_size,
-                         max_epochs=args.max_epochs, loss=args.loss)
+    config = TrainConfig(seed=args.seed, max_epochs=args.max_epochs)
     out = Path(args.out)
     if args.all:
         outcomes = run_all_variants(ds, config, out)
@@ -272,16 +271,17 @@ def cmd_serve(args) -> int:
         reduce_bitrate_threshold=args.policy_bitrate,
         hysteresis=args.hysteresis,
     )
-    instream = sys.stdin if args.input == "-" else Path(args.input).open(encoding="utf-8")
+    # bytes: each line is decoded on its own, so one invalid byte costs one record
+    instream = sys.stdin.buffer if args.input == "-" else Path(args.input).open("rb")
     outstream = sys.stdout if args.out == "-" else Path(args.out).open("w", encoding="utf-8")
     try:
         summary = run_stream(bundle, policy, instream, outstream,
                              explain_on_alert=args.explain_on_alert,
                              tick_s=args.tick_s)
     finally:
-        if instream is not sys.stdin:
+        if args.input != "-":
             instream.close()
-        if outstream is not sys.stdout:
+        if args.out != "-":
             outstream.close()
     print(f"serve done: {summary}", file=sys.stderr)
     return 0
@@ -299,7 +299,7 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--traces", type=int, default=1)
     g.add_argument("--duration", type=int, default=600, help="seconds per trace")
-    g.add_argument("--window-s", type=int, default=10, dest="window_s")
+    g.add_argument("--window-s", type=int, default=DEFAULT_WINDOW_S, dest="window_s")
     g.add_argument("--format", choices=["csv", "ndjson"], default="csv")
     g.add_argument("--inband-qoe", action="store_true",
                    help="embed window labels as per-tick qoe values")
@@ -308,8 +308,7 @@ def build_parser() -> _Parser:
 
     pr = sub.add_parser("prepare", help="window, scale and split traces")
     pr.add_argument("--data", required=True, help="directory with trace_*/labels_* files")
-    pr.add_argument("--window-s", type=int, default=10, dest="window_s")
-    pr.add_argument("--context", type=int, default=5)
+    pr.add_argument("--window-s", type=int, default=DEFAULT_WINDOW_S, dest="window_s")
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_prepare)
 
@@ -318,9 +317,7 @@ def build_parser() -> _Parser:
     t.add_argument("--variant", choices=list(ALL_VARIANTS))
     t.add_argument("--all", action="store_true")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--batch-size", type=int, default=32, dest="batch_size")
     t.add_argument("--max-epochs", type=int, default=200, dest="max_epochs")
-    t.add_argument("--loss", choices=["logcosh", "mse"], default="logcosh")
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 

@@ -125,10 +125,6 @@ class NoAttentionComponent(QoecastError):
     pass
 
 
-class DegeneratePerturbations(QoecastError):
-    pass
-
-
 # -------------------------------------------------------------------- serve
 
 class OutOfOrderSample(QoecastError):

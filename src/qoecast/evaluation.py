@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import EmptySplit, ScalerMismatch
 from .pipeline import PreparedDataset, inverse_target, scaler_fingerprint
-from .zoo import BundleRunner, ModelBundle, last_value_baseline, model_class_of
+from .zoo import BundleRunner, ModelBundle, last_value_baseline
 
+EVAL_BATCH = 256  # test rows per forward pass; predictions do not depend on it
 LATENCY_BATCH = 16
 LATENCY_WARMUP = 10
 LATENCY_REPS = 100
@@ -77,8 +78,7 @@ def _metrics(variant_id: str, model_class: str, dataset: PreparedDataset,
                          rmse=rmse, n_test=len(y), abs_errors=abs_errors)
 
 
-def evaluate(bundle: ModelBundle, dataset: PreparedDataset,
-             batch_size: int = 256) -> MetricsReport:
+def evaluate(bundle: ModelBundle, dataset: PreparedDataset) -> MetricsReport:
     """Test-split MAE and RMSE in QoE units for one bundle.
 
     The bundle must have been trained against this dataset's scaler;
@@ -90,9 +90,9 @@ def evaluate(bundle: ModelBundle, dataset: PreparedDataset,
     X, y = _test_arrays(dataset)
     runner = BundleRunner(bundle)
     preds = np.concatenate([
-        runner.predict(X[i : i + batch_size])[0] for i in range(0, len(X), batch_size)
+        runner.predict(X[i : i + EVAL_BATCH])[0] for i in range(0, len(X), EVAL_BATCH)
     ])
-    return _metrics(bundle.variant_id, model_class_of(bundle.variant_id), dataset, preds, y)
+    return _metrics(bundle.variant_id, runner.model.model_class, dataset, preds, y)
 
 
 def evaluate_baseline(dataset: PreparedDataset) -> MetricsReport:
@@ -101,23 +101,23 @@ def evaluate_baseline(dataset: PreparedDataset) -> MetricsReport:
     return _metrics("last_value", "baseline", dataset, last_value_baseline(X), y)
 
 
-def benchmark_latency(bundle: ModelBundle, batch_size: int = LATENCY_BATCH,
-                      warmup: int = LATENCY_WARMUP, reps: int = LATENCY_REPS,
-                      seed: int = 0) -> LatencyStats:
-    """Wall-clock forward latency per batch under the fixed protocol."""
+def benchmark_latency(bundle: ModelBundle, seed: int = 0) -> LatencyStats:
+    """Wall-clock forward latency per batch under the fixed protocol:
+    LATENCY_WARMUP untimed rounds, then LATENCY_REPS timed ones, each on the
+    same seeded random batch of LATENCY_BATCH rows."""
     runner = BundleRunner(bundle)
     rng = np.random.default_rng(seed)
-    batch = rng.random((batch_size, bundle.context_len, len(bundle.feature_order)))
-    for _ in range(warmup):
+    batch = rng.random((LATENCY_BATCH, bundle.context_len, len(bundle.feature_order)))
+    for _ in range(LATENCY_WARMUP):
         runner.predict(batch)
-    times = np.empty(reps)
-    for i in range(reps):
+    times = np.empty(LATENCY_REPS)
+    for i in range(LATENCY_REPS):
         t0 = time.perf_counter()
         runner.predict(batch)
         times[i] = (time.perf_counter() - t0) * 1000.0
     return LatencyStats(
-        batch_size=batch_size,
-        reps=reps,
+        batch_size=LATENCY_BATCH,
+        reps=LATENCY_REPS,
         mean_ms=float(times.mean()),
         median_ms=float(np.median(times)),
         p95_ms=float(np.percentile(times, 95)),

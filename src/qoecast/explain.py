@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nc
-from .errors import (
-    DegeneratePerturbations,
-    NoAttentionComponent,
-    NonDifferentiableModel,
-    ShapeMismatch,
-)
+from .errors import NoAttentionComponent, NonDifferentiableModel, ShapeMismatch
 from .nncore import Tape, Tensor
 from .pipeline import FEATURE_NAMES
 from .zoo import ModelBundle, build_variant, params64
@@ -141,26 +136,19 @@ class LocalSurrogate:
     coefficients: np.ndarray  # (30,) flattened (window, feature) order
     intercept: float
     r_squared: float
-    n_samples: int
-    kernel_width: float
 
     def cell_coefficients(self) -> np.ndarray:
         return self.coefficients.reshape(-1, len(FEATURE_NAMES))
 
 
-def lime_local(bundle: ModelBundle, x: np.ndarray, n_samples: int = LIME_SAMPLES,
-               sigma: float = LIME_SIGMA, kernel_width: float = LIME_KERNEL_WIDTH,
-               seed: int = 0, ridge: float = LIME_RIDGE) -> LocalSurrogate:
+def lime_local(bundle: ModelBundle, x: np.ndarray, seed: int = 0) -> LocalSurrogate:
     """Fit a distance-weighted linear surrogate to the model around x.
 
-    Perturbations add Gaussian noise (scale sigma) to every flattened scalar;
-    sample weights decay as exp(-d^2 / kernel_width^2) in the distance from
-    x. The surrogate is ridge-regularized and scored by weighted R^2.
+    LIME_SAMPLES perturbations add Gaussian noise of scale LIME_SIGMA to
+    every flattened scalar; sample weights decay as exp(-d^2 / w^2) in the
+    distance d from x, with w = LIME_KERNEL_WIDTH. The surrogate is ridge
+    regularized (LIME_RIDGE) and scored by weighted R^2.
     """
-    if sigma <= 0:
-        raise DegeneratePerturbations("sigma must be positive to perturb the input")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     x = _check_input(bundle, x)
     model = build_variant(bundle.variant_id)
     params = params64(bundle)
@@ -168,12 +156,12 @@ def lime_local(bundle: ModelBundle, x: np.ndarray, n_samples: int = LIME_SAMPLES
 
     flat = x.reshape(-1)
     d = flat.size
-    Z = flat[None, :] + rng.normal(0.0, sigma, size=(n_samples, d))
-    preds, _ = model.forward(params, Tensor(Z.reshape(n_samples, *x.shape)), tape=None)
+    Z = flat[None, :] + rng.normal(0.0, LIME_SIGMA, size=(LIME_SAMPLES, d))
+    preds, _ = model.forward(params, Tensor(Z.reshape(LIME_SAMPLES, *x.shape)), tape=None)
     y = preds.data
 
     dist2 = np.sum((Z - flat[None, :]) ** 2, axis=1)
-    weights = np.exp(-dist2 / (kernel_width ** 2))
+    weights = np.exp(-dist2 / (LIME_KERNEL_WIDTH ** 2))
 
     # weighted ridge with unpenalized intercept, solved on centered data
     wsum = weights.sum()
@@ -181,7 +169,7 @@ def lime_local(bundle: ModelBundle, x: np.ndarray, n_samples: int = LIME_SAMPLES
     ym = float(weights @ y) / wsum
     Zc = Z - zm
     yc = y - ym
-    A = (Zc * weights[:, None]).T @ Zc + ridge * np.eye(d)
+    A = (Zc * weights[:, None]).T @ Zc + LIME_RIDGE * np.eye(d)
     coef = np.linalg.solve(A, (Zc * weights[:, None]).T @ yc)
     intercept = ym - float(zm @ coef)
 
@@ -194,6 +182,4 @@ def lime_local(bundle: ModelBundle, x: np.ndarray, n_samples: int = LIME_SAMPLES
         coefficients=coef,
         intercept=intercept,
         r_squared=r2,
-        n_samples=n_samples,
-        kernel_width=kernel_width,
     )

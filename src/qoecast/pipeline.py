@@ -15,17 +15,19 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import (
     InsufficientData,
     NoCompleteWindow,
+    ShapeMismatch,
     TooFewSequences,
     TraceTooShort,
 )
 from .synthgen import window_qoe
-from .telemetry import MIN_WINDOW_COVERAGE, Trace, WindowAggregator
+from .telemetry import DEFAULT_WINDOW_S, MIN_WINDOW_COVERAGE, Trace, WindowAggregator
 
 FEATURE_NAMES = (
     "thr_mean_mbps",
@@ -38,10 +40,10 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 QOE_FEATURE = FEATURE_NAMES.index("qoe")
 
-DEFAULT_WINDOW_S = 10
-DEFAULT_CONTEXT = 5
-DEFAULT_HORIZON = 1
-DEFAULT_FRACTIONS = (0.70, 0.10, 0.20)
+# the fixed protocol every variant is trained and benchmarked under
+CONTEXT_LEN = 5  # windows of model input
+HORIZON = 1  # windows from the last input window to the target window
+SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # chronological train/val/test
 MIN_SEQUENCES = 10
 
 
@@ -189,7 +191,7 @@ class SequenceSample:
     target_ts_ms positions the target window on the dataset's global
     timeline (trace offsets included) for chronological ordering."""
 
-    inputs: np.ndarray  # (context, 6) float64
+    inputs: np.ndarray  # (5, 6) float64
     target: float
     origin: tuple[str, int]  # (trace_id, first window index)
     target_ts_ms: int
@@ -211,15 +213,16 @@ class DatasetSplit:
 @dataclass
 class PreparedDataset:
     """Everything a model needs: the split, the scaler it was scaled with,
-    and the windowing geometry."""
+    and the windowing geometry. Only the window length varies; the context,
+    horizon and feature order are the module's fixed protocol."""
 
     split: DatasetSplit
     scaler: ScalerStats
     window_s: int = DEFAULT_WINDOW_S
-    context_len: int = DEFAULT_CONTEXT
-    horizon: int = DEFAULT_HORIZON
-    feature_order: tuple[str, ...] = FEATURE_NAMES
     dropped_windows: list[tuple[str, int, str]] = field(default_factory=list)
+    context_len: ClassVar[int] = CONTEXT_LEN
+    horizon: ClassVar[int] = HORIZON
+    feature_order: ClassVar[tuple[str, ...]] = FEATURE_NAMES
 
     def arrays(self, part: str) -> tuple[np.ndarray, np.ndarray]:
         seqs = getattr(self.split, part)
@@ -230,32 +233,25 @@ class PreparedDataset:
         return X, y
 
 
-def build_dataset(
-    traces: list[Trace],
-    window_s: int = DEFAULT_WINDOW_S,
-    context: int = DEFAULT_CONTEXT,
-    horizon: int = DEFAULT_HORIZON,
-    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-) -> PreparedDataset:
+def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> PreparedDataset:
     """Window traces, split chronologically, fit the scaler on training
     windows only, and emit scaled sequences.
 
-    A sequence is context consecutive windows (stride 1) and the window
-    horizon steps after them; it never spans a dropped window. Traces are
+    A sequence is CONTEXT_LEN consecutive windows (stride 1) and the window
+    HORIZON steps after them; it never spans a dropped window. Traces are
     laid on a global timeline in input order (each offset by the cumulative
     span of its predecessors). Sequences are ordered by target timestamp
-    and cut by fractions (floor, remainder to test). The scaler sees exactly
-    the windows referenced by training sequences, then everything is scaled
-    with it; leakage from val or test windows is structurally impossible.
+    and cut by SPLIT_FRACTIONS (floor, remainder to test). The scaler sees
+    exactly the windows referenced by training sequences, then everything
+    is scaled with it; leakage from val or test windows is structurally
+    impossible.
     Raises TooFewSequences under MIN_SEQUENCES sequences in all, then
     TraceTooShort when any one trace yields none.
     """
     if not traces:
         raise InsufficientData("no traces given")
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative and sum to 1: {fractions}")
     window_ms = window_s * 1000
-    need = context + horizon
+    need = CONTEXT_LEN + HORIZON
 
     per_trace: list[list[WindowFeatures]] = []
     starts: list[tuple[int, int, int]] = []  # (target_ts_ms, trace slot, first window)
@@ -284,12 +280,12 @@ def build_dataset(
         trace_id, n = too_short[0]
         raise TraceTooShort(
             f"trace {trace_id!r}: {n} usable windows give no "
-            f"{context}+{horizon}-window sequence"
+            f"{CONTEXT_LEN}+{HORIZON}-window sequence"
         )
     starts.sort()
     n = len(starts)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
+    n_train = int(n * SPLIT_FRACTIONS[0])
+    n_val = int(n * SPLIT_FRACTIONS[1])
 
     used = {(slot, j) for _, slot, i in starts[:n_train] for j in range(i, i + need)}
     scaler = fit_scaler([per_trace[slot][j] for slot, j in used])
@@ -301,7 +297,7 @@ def build_dataset(
 
     sequences = [
         SequenceSample(
-            inputs=scaled[slot][i : i + context].copy(),
+            inputs=scaled[slot][i : i + CONTEXT_LEN].copy(),
             target=float(targets[slot][i + need - 1]),
             origin=(traces[slot].trace_id, per_trace[slot][i].window_index),
             target_ts_ms=ts,
@@ -317,14 +313,8 @@ def build_dataset(
         train_end_ts_ms=train[-1].target_ts_ms if train else -1,
         val_end_ts_ms=val[-1].target_ts_ms if val else -1,
     )
-    return PreparedDataset(
-        split=split,
-        scaler=scaler,
-        window_s=window_s,
-        context_len=context,
-        horizon=horizon,
-        dropped_windows=dropped,
-    )
+    return PreparedDataset(split=split, scaler=scaler, window_s=window_s,
+                           dropped_windows=dropped)
 
 
 # ----------------------------------------------------------------- dataset IO
@@ -357,8 +347,17 @@ def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
 
 
 def load_dataset(in_dir: str | Path) -> PreparedDataset:
+    """Read a dataset written by save_dataset. A geometry other than the
+    fixed protocol raises ShapeMismatch naming the field, before any model
+    sees the data."""
     src = Path(in_dir)
     meta = json.loads((src / "dataset.json").read_text(encoding="utf-8"))
+    fixed = {"context_len": CONTEXT_LEN, "horizon": HORIZON,
+             "feature_order": list(FEATURE_NAMES)}
+    for key, want in fixed.items():
+        if meta.get(key) != want:
+            raise ShapeMismatch(f"{src / 'dataset.json'}: {key} is {meta.get(key)!r}, "
+                                f"the model zoo takes {want!r}")
     scaler = ScalerStats.from_dict(json.loads((src / "scaler.json").read_text(encoding="utf-8")))
     parts = {}
     for part in ("train", "val", "test"):
@@ -384,8 +383,5 @@ def load_dataset(in_dir: str | Path) -> PreparedDataset:
         split=split,
         scaler=scaler,
         window_s=int(meta["window_s"]),
-        context_len=int(meta["context_len"]),
-        horizon=int(meta["horizon"]),
-        feature_order=tuple(meta["feature_order"]),
         dropped_windows=[tuple(d) for d in meta.get("dropped_windows", [])],
     )

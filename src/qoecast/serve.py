@@ -202,7 +202,7 @@ class StreamState:
 def run_stream(
     bundle: ModelBundle,
     policy: FeedbackPolicy,
-    instream: IO[str] | Iterable[str],
+    instream: IO[str] | IO[bytes] | Iterable[str | bytes],
     outstream: IO[str],
     explain_on_alert: bool = False,
     tick_s: float = 1.0,
@@ -210,11 +210,12 @@ def run_stream(
 ) -> dict:
     """Consume NDJSON telemetry, emit NDJSON decisions, return a summary.
 
-    Bad input lines become error records on the output stream instead of
-    terminating the run. Each decision carries the ingest-to-emit latency as
-    measured by `clock`. When explain_on_alert is set, alert decisions are
-    annotated with the top EXPLAIN_TOP_K attribution cells; cheaper
-    decisions never wait on explanation work. Floats are rendered with
+    Input lines are text or UTF-8 bytes, each decoded on its own. Bad input
+    lines, invalid UTF-8 included, become error records on the output
+    stream instead of terminating the run. Each decision carries the
+    ingest-to-emit latency as measured by `clock`. When explain_on_alert is
+    set, alert decisions are annotated with the top EXPLAIN_TOP_K
+    attribution cells; cheaper decisions never wait on explanation work. Floats are rendered with
     shortest round-trip formatting, so equal predictions give byte-equal
     output.
     """

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidConfig, SpanOutOfRange
 from .seeding import derive_seed
-from .telemetry import TelemetrySample, Trace, Window, WindowAggregator
+from .telemetry import DEFAULT_WINDOW_S, TelemetrySample, Trace, Window, WindowAggregator
 
 # Oracle constants. thr saturates at 25 Mbps; loss is penalized per percent;
 # jitter is free below 20 ms. Smoothing leans 70/30 toward the current window.
@@ -115,7 +115,7 @@ class GeneratorConfig:
     seed: int = 0
     duration_s: int = 600
     tick_s: float = 1.0
-    window_s: int = 10
+    window_s: int = DEFAULT_WINDOW_S
     loss_pct_range: tuple[float, float] = (0.0, 5.0)
     jitter_ms_range: tuple[float, float] = (10.0, 100.0)
     throughput_mbps_range: tuple[float, float] = (5.0, 50.0)

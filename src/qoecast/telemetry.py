@@ -107,6 +107,7 @@ class Trace:
 
 # ------------------------------------------------------------------ windows
 
+DEFAULT_WINDOW_S = 10
 MIN_WINDOW_COVERAGE = 0.8
 
 
@@ -284,17 +285,20 @@ def _trace_format(path: str | Path) -> str:
     return "ndjson" if Path(path).suffix in (".ndjson", ".jsonl", ".json") else "csv"
 
 
-def decode_json_line(line: str, record_no: int) -> dict:
-    """Decode one NDJSON line into its record object, for trace files and
-    live streams alike.
+def decode_json_line(line: str | bytes, record_no: int) -> dict:
+    """Decode one NDJSON line, text or raw bytes, into its record object,
+    for trace files and live streams alike.
 
-    Raises MalformedRow on field "record" for invalid JSON, for nesting too
-    deep to decode, and for a value that is not an object.
+    Raises MalformedRow on field "record" for bytes that are not valid
+    UTF-8, for invalid JSON, for nesting too deep to decode, and for a value
+    that is not an object.
     """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRow(record_no, "record", f"invalid json: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise MalformedRow(record_no, "record", "invalid utf-8") from None
     except RecursionError:
         raise MalformedRow(record_no, "record", "json nested too deeply") from None
     if not isinstance(obj, dict):
@@ -306,7 +310,7 @@ _KNOWN_FIELDS = frozenset(FIELD_NAMES) | {"qoe"}
 
 
 def _csv_records(text: str) -> Iterator[tuple[int, dict]]:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))  # universal newlines
     try:
         header = next(reader)
     except StopIteration:
@@ -343,13 +347,22 @@ def load_trace(
     """Load a trace file, in the format its suffix names, into a Trace whose
     id is the file stem.
 
-    Blank lines are skipped but still counted in record numbers. The first
-    malformed record raises MalformedRow naming its number and field; a
-    timestamp that does not increase raises NonMonotonicTimestamp.
+    Blank lines are skipped but still counted in record numbers (a CSV
+    header is record 0). The first malformed record, invalid UTF-8
+    included, raises MalformedRow naming its number and field; a timestamp
+    that does not increase raises NonMonotonicTimestamp.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    records = _ndjson_records(text) if _trace_format(path) == "ndjson" else _csv_records(text)
+    ndjson = _trace_format(path) == "ndjson"
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, counted the way the readers split
+        # lines; the bytes before it decode
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines()) - 1
+        raise MalformedRow(line + 1 if ndjson else line, "record", "invalid utf-8") from None
+    records = _ndjson_records(text) if ndjson else _csv_records(text)
     samples = tuple(_parse_record(raw, record_no) for record_no, raw in records)
     if not samples:
         raise EmptyTrace(f"{path}: no valid samples")
@@ -390,7 +403,7 @@ def write_trace(
     fmt: str | None = None,
     labels_path: str | Path | None = None,
     inband_qoe: bool = False,
-    window_s: int = 10,
+    window_s: int = DEFAULT_WINDOW_S,
 ) -> None:
     """Write a trace (and its labels, if any) to disk.
 
@@ -450,43 +463,3 @@ def write_labels(labels, path: str | Path) -> None:
     for idx, q in labels:
         lines.append(f"{idx},{fmt_float(q)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# --------------------------------------------------------------- validation
-
-@dataclass
-class ValidationReport:
-    """Structural health summary of a trace.
-
-    gaps: (sample_index, missing_ticks) for each hole in the tick grid,
-    recorded at the index of the sample before the hole. out_of_range lists
-    (sample_index, field) pairs. label_coverage is labeled windows divided by
-    the number of whole windows the trace spans.
-    """
-
-    gaps: list[tuple[int, int]]
-    out_of_range: list[tuple[int, str]]
-    label_coverage: float
-
-    @property
-    def clean(self) -> bool:
-        return not self.gaps and not self.out_of_range
-
-
-def validate_trace(trace: Trace, window_s: int = 10) -> ValidationReport:
-    tick_ms = trace.tick_s * 1000.0
-    gaps = []
-    for i in range(len(trace.samples) - 1):
-        dt = trace.samples[i + 1].ts_ms - trace.samples[i].ts_ms
-        missing = round(dt / tick_ms) - 1
-        if missing > 0:
-            gaps.append((i, missing))
-    out_of_range = []
-    for i, s in enumerate(trace.samples):
-        for name, ok in _RANGE_CHECKS.items():
-            if not ok(getattr(s, name)):
-                out_of_range.append((i, name))
-    n_windows = int(trace.samples[-1].ts_ms // (window_s * 1000)) + 1
-    labeled = len({idx for idx, _ in (trace.labels or ()) if 0 <= idx < n_windows})
-    coverage = labeled / n_windows if n_windows else 0.0
-    return ValidationReport(gaps=gaps, out_of_range=out_of_range, label_coverage=coverage)

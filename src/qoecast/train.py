@@ -1,9 +1,9 @@
 """Model fitting: minibatch Adam for the neural zoo, closed-form and
 active-set (feature-sign) solvers for the linear variants.
 
-Neural training minimizes log-cosh (or MSE) on scaled targets with seeded
-shuffling, early stopping on validation loss with best-weight restore, and
-multiplicative learning-rate decay on plateaus. Given the same seed, data
+Neural training minimizes log-cosh on scaled targets in minibatches of 32
+with seeded shuffling, early stopping on validation loss with best-weight
+restore, and multiplicative learning-rate decay on plateaus. Given the same seed, data
 and config, two runs produce bit-identical bundles.
 """
 
@@ -39,6 +39,7 @@ from .zoo import (
 )
 
 _LOG2 = math.log(2.0)
+BATCH_SIZE = 32  # training rows per Adam step
 
 
 # ------------------------------------------------------------------- losses
@@ -69,23 +70,6 @@ def logcosh_loss(tape: Tape | None, pred: Tensor, target: np.ndarray) -> Tensor:
     return out
 
 
-def mse_loss(tape: Tape | None, pred: Tensor, target: np.ndarray) -> Tensor:
-    target = np.asarray(target, dtype=np.float64)
-    if pred.data.shape != target.shape:
-        raise LengthMismatch(f"pred {pred.data.shape} vs target {target.shape}")
-    r = pred.data - target
-    out = Tensor(mse_value(r))
-    if tape is not None:
-        n = r.size
-        def _back():
-            nc._accum(pred, out.grad * 2.0 * r / n)
-        tape.record(_back)
-    return out
-
-
-LOSSES = {"logcosh": (logcosh_loss, logcosh_value), "mse": (mse_loss, mse_value)}
-
-
 # ------------------------------------------------------------ configuration
 
 @dataclass(frozen=True)
@@ -112,18 +96,14 @@ class PlateauConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
-    batch_size: int = 32
     max_epochs: int = 200
-    loss: str = "logcosh"
     adam: AdamConfig = AdamConfig()
     early_stop: EarlyStopConfig = EarlyStopConfig()
     plateau: PlateauConfig = PlateauConfig()
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; known: {sorted(LOSSES)}")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be positive")
 
 
 @dataclass
@@ -238,7 +218,6 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
     if len(X_train) == 0 or len(X_val) == 0:
         raise EmptySplit(
             f"train/val must be non-empty, got {len(X_train)}/{len(X_val)}")
-    loss_op, loss_val = LOSSES[config.loss]
 
     params_np = model.init_params(derive_seed(config.seed, f"init:{model.variant_id}"))
     params = {k: Tensor(v) for k, v in params_np.items()}
@@ -260,15 +239,15 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
+        for bi, start in enumerate(range(0, n, BATCH_SIZE)):
+            idx = order[start : start + BATCH_SIZE]
             xb, yb = X_train[idx], y_train[idx]
             drop_rng = np.random.default_rng(
                 derive_seed(config.seed, f"dropout:{model.variant_id}:{epoch}:{bi}"))
             tape = Tape()
             opt.zero_grads()
             pred, _ = model.forward(params, Tensor(xb), tape, train=True, rng=drop_rng)
-            loss = loss_op(tape, pred, yb)
+            loss = logcosh_loss(tape, pred, yb)
             if not np.isfinite(loss.data):
                 raise DivergedLoss(
                     f"{model.variant_id}: non-finite train loss at epoch {epoch}")
@@ -278,7 +257,7 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
         train_loss = epoch_loss / n
 
         val_pred, _ = model.forward(params, Tensor(X_val), tape=None, train=False)
-        val_loss = loss_val(val_pred.data - y_val)
+        val_loss = logcosh_value(val_pred.data - y_val)
         if not np.isfinite(val_loss):
             raise DivergedLoss(f"{model.variant_id}: non-finite val loss at epoch {epoch}")
         history.records.append(EpochRecord(

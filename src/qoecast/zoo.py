@@ -24,9 +24,8 @@ import numpy as np
 from . import nncore as nc
 from .errors import ChecksumMismatch, ShapeMismatch, UnknownVariant, VersionMismatch
 from .nncore import ParamSpec, Tape, Tensor
-from .pipeline import FEATURE_NAMES, N_FEATURES, QOE_FEATURE, ScalerStats
+from .pipeline import CONTEXT_LEN, FEATURE_NAMES, N_FEATURES, QOE_FEATURE, ScalerStats
 
-CONTEXT_LEN = 5
 ATTENTION_WIDTH = 128
 D_MODEL = 32
 BUNDLE_FORMAT_VERSION = 1
@@ -301,10 +300,6 @@ def build_variant(variant_id: str) -> ForecastModel:
         raise UnknownVariant(
             f"unknown variant {variant_id!r}; known: {', '.join(ALL_VARIANTS)}")
     return _MODELS[variant_id]
-
-
-def model_class_of(variant_id: str) -> str:
-    return build_variant(variant_id).model_class
 
 
 def last_value_baseline(batch: np.ndarray) -> np.ndarray:

@@ -1,12 +1,17 @@
+import argparse
 import csv
+import io
 import json
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qoecast import __version__
-from qoecast.cli import main
+from qoecast.cli import build_parser, main
 from qoecast.pipeline import load_dataset
 from qoecast.seeding import derive_seed
 from qoecast.synthgen import GeneratorConfig, generate_trace
@@ -153,6 +158,32 @@ class TestPipelineFlow:
         assert decisions[0]["ts_ms"] == 50000
         assert all(r["latency_ms"] >= 0.0 for r in decisions)
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_serve_survives_invalid_utf8(self, flow, tmp_path, monkeypatch, source):
+        # one line with a byte that is not UTF-8 costs that line only
+        stream_dir = tmp_path / "stream"
+        assert main(["generate", "--seed", "7", "--duration", "120",
+                     "--format", "ndjson", "--inband-qoe",
+                     "--out", str(stream_dir)]) == 0
+        lines = (stream_dir / "trace_00.ndjson").read_bytes().splitlines(keepends=True)
+        raw = b"".join(lines[:60] + [b'{"ts_ms": "\xff"}\n'] + lines[60:])
+        if source == "file":
+            (tmp_path / "bad.ndjson").write_bytes(raw)
+            where = str(tmp_path / "bad.ndjson")
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), "utf-8"))
+            where = "-"
+        out = tmp_path / "decisions.ndjson"
+        assert main(["serve", "--bundle", str(flow / "run" / "gru_basic.bundle.json"),
+                     "--input", where, "--out", str(out)]) == 0
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        errors = [r for r in records if "error" in r]
+        assert errors == [{"error": "MalformedRow", "record": 61,
+                           "detail": "record 61: bad value for 'record' (invalid utf-8)"}]
+        assert len([r for r in records if "qoe_pred" in r]) == 8
+        assert records[-1]["summary"]["ticks"] == 120
+        assert records[-1]["summary"]["errors"] == 1
+
 
 class TestExitCodes:
     def test_version_flag(self, capsys):
@@ -202,6 +233,29 @@ class TestExitCodes:
         assert "MalformedRow: record 2: bad value for 'record'" in err
         assert "json nested too deeply" in err
 
+    def test_prepare_names_the_record_of_an_invalid_byte(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        good = ('{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
+                '"loss_rate": 0.01, "loss_count": 10, "speed_kmh": 40.0}')
+        (data / "trace_00.ndjson").write_bytes(good.encode() + b'\n{"ts_ms": "\xff"}\n')
+        assert main(["prepare", "--data", str(data), "--out",
+                     str(tmp_path / "ds")]) == 2
+        assert ("MalformedRow: record 2: bad value for 'record' (invalid utf-8)"
+                in capsys.readouterr().err)
+
+    def test_train_rejects_another_context_length(self, flow, tmp_path, capsys):
+        # used to fail late in the fit, or to write a bundle nothing could load
+        ds = tmp_path / "ds"
+        shutil.copytree(flow / "ds", ds)
+        meta = json.loads((ds / "dataset.json").read_text())
+        meta["context_len"] = 3
+        (ds / "dataset.json").write_text(json.dumps(meta))
+        assert main(["train", "--data", str(ds), "--variant", "lin_basic",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "ShapeMismatch" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_evaluate_without_bundles_is_data_error(self, flow, tmp_path):
         empty = tmp_path / "norun"
         empty.mkdir()
@@ -223,6 +277,43 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "generate_trace", boom)
         assert main(["generate", "--out", str(tmp_path / "g")]) == 3
         assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+# Every option of every subcommand. A new one needs a caller: a command in
+# the README, a test or a benchmark workload that sets it.
+CLI_OPTIONS = {
+    "generate": ["--seed", "--traces", "--duration", "--window-s", "--format",
+                 "--inband-qoe", "--out"],
+    "prepare": ["--data", "--window-s", "--out"],
+    "train": ["--data", "--variant", "--all", "--seed", "--max-epochs", "--out"],
+    "evaluate": ["--data", "--run"],
+    "benchmark": ["--data", "--run", "--seed"],
+    "explain": ["--bundle", "--data", "--part", "--index", "--method", "--steps",
+                "--seed", "--out"],
+    "serve": ["--bundle", "--input", "--out", "--policy-alert", "--policy-bitrate",
+              "--hysteresis", "--tick-s", "--explain-on-alert"],
+}
+
+
+def test_cli_surface_is_pinned():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 37
+
+
+def test_readme_quick_start_parses():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert len(commands) == 7 and all(c[0] == "qoecast" for c in commands)
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(command[1:])  # UsageError on an option the CLI lacks
 
 
 def test_console_script_installed():

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from qoecast.errors import (
     InsufficientData,
     NoCompleteWindow,
+    ShapeMismatch,
     TooFewSequences,
     TraceTooShort,
 )
@@ -260,16 +263,6 @@ class TestChronoSplit:
         with pytest.raises(TooFewSequences):
             build_dataset([_ramp_trace(90, trace_id="a"), _ramp_trace(90, trace_id="b")])
 
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            build_dataset([_ramp_trace()], fractions=(0.5, 0.2, 0.2))
-        with pytest.raises(ValueError):
-            build_dataset([_ramp_trace()], fractions=(1.5, -0.5, 0.0))
-
-    def test_fractions_checked_before_use(self):
-        # too few sequences too, but the fractions are rejected first
-        with pytest.raises(ValueError):
-            build_dataset([_ramp_trace(140)], fractions=(0.9, 0.2, -0.1))
 
 
 class TestBuildDataset:
@@ -311,11 +304,11 @@ class TestBuildDataset:
         assert y.shape == (77,)
         assert X.dtype == np.float64
 
-    def test_geometry_overrides(self):
-        ds = build_dataset([_ramp_trace()], window_s=5, context=3)
-        assert ds.window_s == 5 and ds.context_len == 3
+    def test_window_length_override(self):
+        ds = build_dataset([_ramp_trace()], window_s=5)
+        assert ds.window_s == 5 and ds.context_len == 5
         X, _ = ds.arrays("train")
-        assert X.shape[1:] == (3, 6)
+        assert X.shape == (int(115 * 0.7), 5, 6)  # 120 windows, 115 sequences
 
     def test_no_traces(self):
         with pytest.raises(InsufficientData):
@@ -366,6 +359,18 @@ class TestDatasetIO:
         assert ("gap", 30, "7/10 ticks") in ds.dropped_windows
         save_dataset(ds, tmp_path)
         assert ("gap", 30, "7/10 ticks") in load_dataset(tmp_path).dropped_windows
+
+    @pytest.mark.parametrize("key,value", [("context_len", 3), ("horizon", 2),
+                                           ("feature_order", list(FEATURE_NAMES[::-1]))])
+    def test_load_rejects_another_geometry(self, small_dataset, tmp_path, key, value):
+        # the zoo runs 5-window contexts of the six features in order only
+        save_dataset(small_dataset, tmp_path)
+        meta_path = tmp_path / "dataset.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ShapeMismatch, match=key):
+            load_dataset(tmp_path)
 
     def test_empty_part_arrays(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path)

@@ -11,7 +11,6 @@ from qoecast.telemetry import (
     WindowAggregator,
     load_labels,
     load_trace,
-    validate_trace,
     write_labels,
     write_trace,
 )
@@ -160,6 +159,19 @@ class TestLoadValidation:
         with pytest.raises(MalformedRow):
             load_trace(p)
 
+    @pytest.mark.parametrize("suffix", ["csv", "ndjson"])
+    def test_invalid_utf8_names_its_record(self, tmp_path, suffix):
+        # the third record after two good ones: CSV counts from its header
+        # at 0, NDJSON from 1, and a lone carriage return ends a line too
+        good = {"csv": "0,20,15,0.01,10,30", "ndjson": _ndjson_record()}[suffix]
+        head = (CSV_HEADER + "\n") if suffix == "csv" else ""
+        p = tmp_path / f"t.{suffix}"
+        p.write_bytes((head + good + "\r\n" + good + "\r").encode() + b"\xff\n")
+        with pytest.raises(MalformedRow) as e:
+            load_trace(p)
+        assert (e.value.record_no, e.value.field) == (3, "record")
+        assert "invalid utf-8" in str(e.value)
+
     def test_bad_labels_header(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("idx,score\n0,50\n")
@@ -232,21 +244,6 @@ class TestNumericStrictness:
         c.write_text(CSV_HEADER + "\n1500.0,20,15,0.01,10.0,30\n2000,20,15,0.01,1e1,30\n")
         assert [(s.ts_ms, s.loss_count) for s in load_trace(c).samples] == \
             [(1500, 10), (2000, 10)]
-
-
-class TestValidateTrace:
-    def test_clean_trace(self):
-        rep = validate_trace(_trace(30, labels=tuple((w, 50.0) for w in range(3))))
-        assert rep.clean and rep.gaps == [] and rep.label_coverage == 1.0
-
-    def test_gap_detection(self):
-        samples = [_sample(i) for i in range(5)] + [_sample(i) for i in range(8, 12)]
-        rep = validate_trace(Trace(samples=tuple(samples)))
-        assert rep.gaps == [(4, 3)]
-
-    def test_partial_label_coverage(self):
-        rep = validate_trace(_trace(30, labels=((0, 50.0),)))
-        assert rep.label_coverage == pytest.approx(1 / 3)
 
 
 class TestWindowAggregator:

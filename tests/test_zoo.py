@@ -22,7 +22,6 @@ from qoecast.zoo import (
     deserialize,
     last_value_baseline,
     load_bundle,
-    model_class_of,
     params_checksum,
     save_bundle,
     serialize,
@@ -53,7 +52,7 @@ class TestRegistry:
     def test_class_partition(self):
         assert len(NEURAL_VARIANTS) == 14
         assert LINEAR_VARIANTS == ("lin_basic", "lin_l1", "lin_l2", "lin_elasticnet")
-        classes = {model_class_of(v) for v in ALL_VARIANTS}
+        classes = {build_variant(v).model_class for v in ALL_VARIANTS}
         assert classes == {"lstm", "gru", "transformer", "dnn", "linear"}
 
     def test_unknown_variant(self):
