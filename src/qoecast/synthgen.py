@@ -20,7 +20,7 @@ and window_qoe is the QoE fallback chain both of them use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,32 +198,35 @@ def _draw_base(rng: np.random.Generator, config: GeneratorConfig, state: LinkSta
     )
 
 
-def _wiggle(rng: np.random.Generator, base: float, global_range: tuple[float, float],
-            sub: tuple[float, float]) -> float:
-    lo, hi = global_range
-    v = base + rng.normal(0.0, EPISODE_WIGGLE_FRAC * (hi - lo))
-    return float(min(max(v, sub[0]), sub[1]))
+def _draw_ticks(rng: np.random.Generator, config: GeneratorConfig, state: LinkState,
+                base: _EpisodeBase, n_ticks: int, speed_steps: int = 0):
+    """Draw n_ticks ticks of one episode from one block of normals.
 
-
-def _draw_sample(rng: np.random.Generator, config: GeneratorConfig, state: LinkState,
-                 base: _EpisodeBase, ts_ms: int, speed: float) -> TelemetrySample:
-    loss_pct = _wiggle(rng, base.loss_pct, config.loss_pct_range,
-                       _sub_range(config.loss_pct_range, state.loss_frac))
-    jitter = _wiggle(rng, base.jitter_ms, config.jitter_ms_range,
-                     _sub_range(config.jitter_ms_range, state.jitter_frac))
-    thr = _wiggle(rng, base.throughput_mbps, config.throughput_mbps_range,
-                  _sub_range(config.throughput_mbps_range, state.throughput_frac))
+    Each tick draws loss, jitter and throughput, wiggled around the
+    episode's base and clamped to the state's sub-ranges; the first
+    speed_steps ticks then draw a speed-walk step each. The block holds
+    the values, in the order, that one rng.normal(0.0, sigma) call per
+    value would draw: numpy computes such a call as 0.0 + sigma times a
+    standard normal. Returns the throughput, jitter, loss-rate and
+    loss-count columns as lists, and the speed steps.
+    """
+    ranges = (config.loss_pct_range, config.jitter_ms_range, config.throughput_mbps_range)
+    fracs = (state.loss_frac, state.jitter_frac, state.throughput_frac)
+    subs = [_sub_range(r, f) for r, f in zip(ranges, fracs)]
+    sigmas = [EPISODE_WIGGLE_FRAC * (hi - lo) for lo, hi in ranges] + [SPEED_WALK_SIGMA_KMH]
+    width = 4 if speed_steps else 3
+    n_draws = 3 * n_ticks + speed_steps
+    block = np.zeros(width * n_ticks)  # a last speed slot left undrawn is never read
+    block[:n_draws] = rng.standard_normal(n_draws)
+    block = 0.0 + block.reshape(n_ticks, width) * sigmas[:width]
+    base_point = np.array([base.loss_pct, base.jitter_ms, base.throughput_mbps])
+    lo, hi = np.array(subs).T
+    loss_pct, jitter, thr = np.minimum(np.maximum(base_point + block[:, :3], lo), hi).T
     loss_rate = loss_pct / 100.0
-    # nominal 1000 packets/s link
-    loss_count = int(round(loss_rate * 1000.0 * config.tick_s))
-    return TelemetrySample(
-        ts_ms=ts_ms,
-        throughput_mbps=thr,
-        jitter_ms=jitter,
-        loss_rate=loss_rate,
-        loss_count=loss_count,
-        speed_kmh=speed,
-    )
+    # nominal 1000 packets/s link; Python ints, which no tick length overflows
+    loss_count = list(map(round, (loss_rate * 1000.0 * config.tick_s).tolist()))
+    steps = block[:speed_steps, 3].tolist() if speed_steps else []
+    return thr.tolist(), jitter.tolist(), loss_rate.tolist(), loss_count, steps
 
 
 def window_qoe(win: Window, prev_qoe: float | None, known: float | None,
@@ -277,20 +280,31 @@ def generate_trace(config: GeneratorConfig) -> Trace:
     speed = float(walk_rng.uniform(speed_lo, speed_hi))
     state = "good"
     base = _draw_base(walk_rng, config, LINK_STATES[state])
-    dwell_left = _draw_dwell_ticks(walk_rng, config)
+    dwell = _draw_dwell_ticks(walk_rng, config)
+    ts_ms = [round(i * config.tick_s * 1000.0) for i in range(n_ticks)]
     samples: list[TelemetrySample] = []
-    for i in range(n_ticks):
-        ts_ms = round(i * config.tick_s * 1000.0)
-        samples.append(_draw_sample(walk_rng, config, LINK_STATES[state], base, ts_ms, speed))
-        dwell_left -= 1
-        if dwell_left <= 0:
+    while len(samples) < n_ticks:
+        # An episode's last tick makes the transition draws before its
+        # speed step; an episode the trace cuts short makes none.
+        k = min(dwell, n_ticks - len(samples))
+        ends = k == dwell
+        thr, jitter, loss_rate, loss_count, steps = _draw_ticks(
+            walk_rng, config, LINK_STATES[state], base, k, k - 1 if ends else k)
+        speeds = []
+        for step in steps:
+            speeds.append(speed)
+            speed = float(min(max(speed + step * config.tick_s, speed_lo), speed_hi))
+        if ends:
+            speeds.append(speed)
             row = transition_row(config, state, speed)
             names = list(row.keys())
             state = str(walk_rng.choice(names, p=[row[n] for n in names]))
             base = _draw_base(walk_rng, config, LINK_STATES[state])
-            dwell_left = _draw_dwell_ticks(walk_rng, config)
-        speed = float(min(max(speed + walk_rng.normal(0.0, SPEED_WALK_SIGMA_KMH) * config.tick_s,
-                              speed_lo), speed_hi))
+            dwell = _draw_dwell_ticks(walk_rng, config)
+            step = walk_rng.normal(0.0, SPEED_WALK_SIGMA_KMH)
+            speed = float(min(max(speed + step * config.tick_s, speed_lo), speed_hi))
+        samples += map(TelemetrySample, ts_ms[len(samples):len(samples) + k],
+                       thr, jitter, loss_rate, loss_count, speeds)
 
     labels = _label_windows(samples, config, noise_rng)
     return Trace(
@@ -327,13 +341,15 @@ def inject_episode(trace: Trace, start_s: float, length_s: float, state_name: st
     lo_ms, hi_ms = start_s * 1000.0, (start_s + length_s) * 1000.0
     state = LINK_STATES[state_name]
     base = _draw_base(rng, config, state)
-    new_samples = []
-    for s in trace.samples:
-        if lo_ms <= s.ts_ms < hi_ms:
-            redrawn = _draw_sample(rng, config, state, base, s.ts_ms, s.speed_kmh)
-            new_samples.append(replace(redrawn, qoe=s.qoe))
-        else:
-            new_samples.append(s)
+    # timestamps strictly increase, so the span is one run of samples
+    span = [i for i, s in enumerate(trace.samples) if lo_ms <= s.ts_ms < hi_ms]
+    new_samples = list(trace.samples)
+    if span:
+        first, n = span[0], len(span)
+        thr, jitter, loss_rate, loss_count, _ = _draw_ticks(rng, config, state, base, n)
+        new_samples[first:first + n] = [
+            s._replace(throughput_mbps=t, jitter_ms=j, loss_rate=r, loss_count=c)
+            for s, t, j, r, c in zip(trace.samples[first:], thr, jitter, loss_rate, loss_count)]
 
     window_ms = config.window_s * 1000
     first_affected = int(lo_ms // window_ms)

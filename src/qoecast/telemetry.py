@@ -20,6 +20,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EmptyTrace, MalformedRow, NonMonotonicTimestamp
 
@@ -35,9 +36,8 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
-    """One measurement tick.
+class TelemetrySample(NamedTuple):
+    """One measurement tick, an immutable named tuple.
 
     qoe is an optional in-band measured QoE value; it is absent in stored
     traces (labels live in the sidecar) but may appear on live streams.
@@ -214,19 +214,9 @@ class WindowAggregator:
 
 # ------------------------------------------------------------------ parsing
 
-# Every comparison is False for NaN and each upper bound excludes infinity,
-# so these checks also reject every non-finite value.
-_RANGE_CHECKS = {
-    "throughput_mbps": lambda v: 0.0 <= v < math.inf,
-    "jitter_ms": lambda v: 0.0 <= v < math.inf,
-    "loss_rate": lambda v: 0.0 <= v <= 1.0,
-    "loss_count": lambda v: v >= 0,
-    "speed_kmh": lambda v: 0.0 <= v < math.inf,
-}
-
-
 def _integer(v) -> int:
-    """A strict integer: 12 and 12.0 pass; true, 1500.7 and inf do not."""
+    """A strict integer: 12 and 12.0 pass; true, 1500.7, inf and an integer
+    too large for a float do not."""
     if isinstance(v, bool):
         raise ValueError(f"not an integer: {v}")
     if isinstance(v, int):
@@ -234,9 +224,12 @@ def _integer(v) -> int:
         return v
     if isinstance(v, str):
         try:
-            return int(v)
+            parsed = int(v)
         except ValueError:
             pass  # "12.0" and "1e3" still count when integral
+        else:
+            float(parsed)  # the same bound as for an int
+            return parsed
     parsed = float(v)
     if not parsed.is_integer():  # also False for inf and nan
         raise ValueError(f"not an integer: {v}")
@@ -244,39 +237,64 @@ def _integer(v) -> int:
 
 
 def _parse_record(raw: dict, record_no: int) -> TelemetrySample:
-    """Validate one raw string/number mapping into a sample.
+    """Validate one raw string/number mapping into a sample, in one pass.
 
     ts_ms and loss_count must be integers (integral floats pass); every
     value must be finite and in range. Raises MalformedRow naming the
-    first offending field.
+    first offending field: every field is converted, in field order,
+    before the range checks run. A value already of its field's type is
+    taken as it is.
     """
-    vals = {}
-    for name in FIELD_NAMES:
-        if name not in raw or raw[name] in ("", None):
-            raise MalformedRow(record_no, name, "missing")
-        v = raw[name]
-        try:
-            if name == "ts_ms" or name == "loss_count":
-                parsed = _integer(v)
-            else:
-                parsed = float(v)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedRow(record_no, name, str(exc)) from None
-        vals[name] = parsed
-    if vals["ts_ms"] < 0:
+    get = raw.get
+    try:
+        name = "ts_ms"
+        v = get(name)
+        ts_ms = _integer(v)
+        name = "throughput_mbps"
+        v = get(name)
+        thr = v if type(v) is float else float(v)
+        name = "jitter_ms"
+        v = get(name)
+        jitter = v if type(v) is float else float(v)
+        name = "loss_rate"
+        v = get(name)
+        loss_rate = v if type(v) is float else float(v)
+        name = "loss_count"
+        v = get(name)
+        loss_count = _integer(v)
+        name = "speed_kmh"
+        v = get(name)
+        speed = v if type(v) is float else float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # None and "" never convert, so a missing value lands here too
+        detail = "missing" if v is None or v == "" else str(exc)
+        raise MalformedRow(record_no, name, detail) from None
+    # Every comparison is False for NaN and each upper bound excludes
+    # infinity, so these checks also reject every non-finite value.
+    if ts_ms < 0:
         raise MalformedRow(record_no, "ts_ms", "negative")
-    for name, ok in _RANGE_CHECKS.items():
-        if not ok(vals[name]):
-            raise MalformedRow(record_no, name, f"out of range: {vals[name]}")
-    qoe = None
-    if raw.get("qoe") not in ("", None):
-        try:
-            qoe = float(raw["qoe"])
-        except (TypeError, ValueError):
-            raise MalformedRow(record_no, "qoe", "not a number") from None
-        if not (0.0 <= qoe <= 100.0):
+    if not 0.0 <= thr < math.inf:
+        raise MalformedRow(record_no, "throughput_mbps", f"out of range: {thr}")
+    if not 0.0 <= jitter < math.inf:
+        raise MalformedRow(record_no, "jitter_ms", f"out of range: {jitter}")
+    if not 0.0 <= loss_rate <= 1.0:
+        raise MalformedRow(record_no, "loss_rate", f"out of range: {loss_rate}")
+    if loss_count < 0:
+        raise MalformedRow(record_no, "loss_count", f"out of range: {loss_count}")
+    if not 0.0 <= speed < math.inf:
+        raise MalformedRow(record_no, "speed_kmh", f"out of range: {speed}")
+    qoe = get("qoe")
+    if qoe is None or qoe == "":
+        qoe = None
+    else:
+        if type(qoe) is not float:
+            try:
+                qoe = float(qoe)
+            except (TypeError, ValueError, OverflowError):
+                raise MalformedRow(record_no, "qoe", "not a number") from None
+        if not 0.0 <= qoe <= 100.0:
             raise MalformedRow(record_no, "qoe", f"out of range: {qoe}")
-    return TelemetrySample(qoe=qoe, **vals)
+    return TelemetrySample(ts_ms, thr, jitter, loss_rate, loss_count, speed, qoe)
 
 
 def _trace_format(path: str | Path) -> str:
@@ -290,8 +308,9 @@ def decode_json_line(line: str | bytes, record_no: int) -> dict:
     for trace files and live streams alike.
 
     Raises MalformedRow on field "record" for bytes that are not valid
-    UTF-8, for invalid JSON, for nesting too deep to decode, and for a value
-    that is not an object.
+    UTF-8, for invalid JSON, for nesting too deep to decode, for an integer
+    literal longer than the interpreter converts (4,300 digits by default),
+    and for a value that is not an object.
     """
     try:
         obj = json.loads(line)
@@ -301,6 +320,8 @@ def decode_json_line(line: str | bytes, record_no: int) -> dict:
         raise MalformedRow(record_no, "record", "invalid utf-8") from None
     except RecursionError:
         raise MalformedRow(record_no, "record", "json nested too deeply") from None
+    except ValueError:  # the integer string conversion limit
+        raise MalformedRow(record_no, "record", "integer literal too long") from None
     if not isinstance(obj, dict):
         raise MalformedRow(record_no, "record", "not an object")
     return obj

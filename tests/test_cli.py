@@ -233,6 +233,26 @@ class TestExitCodes:
         assert "MalformedRow: record 2: bad value for 'record'" in err
         assert "json nested too deeply" in err
 
+    @pytest.mark.parametrize("suffix,bad,field", [
+        ("ndjson", '{"ts_ms": 1000, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
+                   '"loss_rate": 0.01, "loss_count": 10, "speed_kmh": 40.0, '
+                   '"qoe": 1' + "0" * 400 + "}", "qoe"),
+        ("csv", "1000,20,15,0.01,1" + "0" * 400 + ",30", "loss_count"),
+    ])
+    def test_prepare_rejects_an_integer_too_large_for_a_float(self, tmp_path, capsys,
+                                                              suffix, bad, field):
+        # used to exit 3 with an internal OverflowError
+        data = tmp_path / "data"
+        data.mkdir()
+        good = {"ndjson": '{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
+                          '"loss_rate": 0.01, "loss_count": 10, "speed_kmh": 40.0}',
+                "csv": "ts_ms,throughput_mbps,jitter_ms,loss_rate,loss_count,speed_kmh\n"
+                       "0,20,15,0.01,10,30"}[suffix]
+        (data / f"trace_00.{suffix}").write_text(good + "\n" + bad + "\n")
+        assert main(["prepare", "--data", str(data), "--out",
+                     str(tmp_path / "ds")]) == 2
+        assert f"MalformedRow: record 2: bad value for '{field}'" in capsys.readouterr().err
+
     def test_prepare_names_the_record_of_an_invalid_byte(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

@@ -69,6 +69,17 @@ BAD_LINES = [
     pytest.param('{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
                  '"loss_rate": 0.01, "loss_count": 1e400, "speed_kmh": 40.0}',
                  "loss_count", id="overflow"),
+    # a 400-digit qoe, or a 400-digit integer string, is too large for a
+    # float and used to end the stream with OverflowError
+    pytest.param('{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
+                 '"loss_rate": 0.01, "loss_count": 10, "speed_kmh": 40.0, '
+                 '"qoe": 1' + "0" * 400 + '}', "qoe", id="huge_qoe"),
+    pytest.param('{"ts_ms": 0, "throughput_mbps": 20.0, "jitter_ms": 30.0, '
+                 '"loss_rate": 0.01, "loss_count": "1' + "0" * 400 + '", '
+                 '"speed_kmh": 40.0}', "loss_count", id="huge_int_string"),
+    # past the interpreter's integer-string limit json.loads raises a plain
+    # ValueError, which used to end the stream
+    pytest.param('{"ts_ms": 1' + "0" * 5000 + '}', "record", id="long_int_literal"),
 ]
 
 

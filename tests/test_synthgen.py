@@ -19,6 +19,12 @@ from qoecast.synthgen import (
 )
 
 
+def _trace_digest(tr):
+    rows = [(s.ts_ms, s.throughput_mbps, s.jitter_ms, s.loss_rate, s.loss_count,
+             s.speed_kmh, s.qoe) for s in tr.samples]
+    return hashlib.sha256(repr((rows, tr.labels)).encode()).hexdigest()
+
+
 class TestOracle:
     def test_spot_full_quality(self):
         assert qoe_oracle(50.0, 0.0, 10.0) == pytest.approx(100.0, abs=1e-9)
@@ -95,6 +101,22 @@ class TestGenerateTrace:
         labels = generate_trace(GeneratorConfig(seed=1)).labels
         digest = hashlib.sha256(repr(labels).encode()).hexdigest()
         assert digest == "239770e2fb05d35b60d544460fa30d4ba96ee980775ce6fa94a6b9916511eef4"
+
+    @pytest.mark.parametrize("config,digest", [
+        # 317 s ends mid-episode for each of these seeds
+        (GeneratorConfig(seed=1, duration_s=317),
+         "5182bcb252051db8f75c56b761e6f4a5b6ce436a68f1640dbc75fe5d23036d39"),
+        (GeneratorConfig(seed=7, duration_s=317),
+         "ba872427413bbdc6d4ff6d261ec777469e0d7ff8145b43152014fb6188e9c427"),
+        (GeneratorConfig(seed=42, duration_s=317),
+         "891ac4811dee77502a446800a531559970ba52aa3cebc9ee34d3b27f7a38ac3a"),
+        (GeneratorConfig(seed=5, duration_s=125, tick_s=0.5),
+         "60711e398d1618495eab6dc95c3d116ba2038f99aafbbd343e59950b6369543a"),
+    ], ids=["seed1", "seed7", "seed42", "half_tick"])
+    def test_sample_digest_pinned(self, config, digest):
+        # every field of every sample, and the labels, bit for bit: the
+        # order and the clamping of the random draws are part of a seed
+        assert _trace_digest(generate_trace(config)) == digest
 
     def test_ranges_hold_across_seeds(self):
         # every sample inside the configured envelope, many seeds
@@ -211,6 +233,11 @@ class TestInjectEpisode:
                             sum(s.loss_rate for s in group) / 10 * 100,
                             sum(s.jitter_ms for s in group) / 10, labels[4])
         assert labels[6] == pytest.approx(expect, abs=1e-9)
+
+    def test_sample_digest_pinned(self, trace):
+        out = inject_episode(trace, 100, 50, "congested", seed=4)
+        assert _trace_digest(out) == \
+            "6ef21938074a7e782e616d33a95094daa6ad0a6c3902e579b7f0d0e0dd0c5ca6"
 
     def test_deterministic(self, trace):
         a = inject_episode(trace, 40, 30, "degraded", seed=8)
