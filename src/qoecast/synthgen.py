@@ -2,11 +2,11 @@
 
 Impairments evolve as Markov episodes over link conditions: a jump chain
 picks the next state, and each episode dwells for a span drawn around
-episode_mean_len_s. Entering a state draws an episode operating point
-uniformly from that state's sub-range of the configured global envelope;
-ticks wiggle tightly around it until the episode ends, so conditions hold
-within an episode and jump across episodes. Every sample stays inside the
-configured bounds for any seed. Vehicle speed follows a clamped Gaussian
+EPISODE_MEAN_LEN_S. Entering a state draws an episode operating point
+uniformly from that state's sub-range of the fixed global envelope; ticks
+wiggle tightly around it until the episode ends, so conditions hold within
+an episode and jump across episodes. Every sample stays inside the
+envelope for any seed. Vehicle speed follows a clamped Gaussian
 random walk and feeds back into the chain: the faster the vehicle, the more
 likely a handover episode.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,6 @@ SMOOTH_PREVIOUS = 0.3
 SPEED_WALK_SIGMA_KMH = 2.0  # random-walk step per tick
 SPEED_REF_KMH = 80.0  # speed at which the handover weight peaks
 HANDOVER_WEIGHT_AT_REF = 0.20
-
-STATE_NAMES = ("good", "degraded", "handover", "congested")
 
 
 def qoe_oracle(thr_mbps: float, loss_pct: float, jitter_ms: float,
@@ -63,22 +62,15 @@ def qoe_oracle(thr_mbps: float, loss_pct: float, jitter_ms: float,
     return min(max(q, 0.0), 100.0)
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """One Markov state: value sub-ranges as fractions of the global envelope."""
+# The generator's fixed envelope, loss in percent: every sample of every
+# seed stays inside it.
+ENVELOPE_LOSS_PCT = (0.0, 5.0)
+ENVELOPE_JITTER_MS = (10.0, 100.0)
+ENVELOPE_THROUGHPUT_MBPS = (5.0, 50.0)
+ENVELOPE_SPEED_KMH = (0.0, 80.0)
 
-    name: str
-    loss_frac: tuple[float, float]
-    jitter_frac: tuple[float, float]
-    throughput_frac: tuple[float, float]
-
-
-LINK_STATES: dict[str, LinkState] = {
-    "good": LinkState("good", (0.00, 0.25), (0.00, 0.35), (0.60, 1.00)),
-    "degraded": LinkState("degraded", (0.20, 0.55), (0.30, 0.65), (0.35, 0.75)),
-    "handover": LinkState("handover", (0.50, 1.00), (0.55, 1.00), (0.03, 0.30)),
-    "congested": LinkState("congested", (0.35, 0.80), (0.70, 1.00), (0.08, 0.40)),
-}
+EPISODE_MEAN_LEN_S = 30.0  # mean dwell of one state episode
+LABEL_NOISE_SIGMA = 1.0  # Gaussian noise on each window label, before clamping
 
 # Each episode freezes a base operating point inside its state's sub-ranges;
 # ticks wiggle around it by this fraction of the global span. Conditions are
@@ -86,10 +78,40 @@ LINK_STATES: dict[str, LinkState] = {
 # makes the traces bursty rather than white.
 EPISODE_WIGGLE_FRAC = 0.02
 
-# Episode length is uniform in episode_mean_len_s * (1 +- DWELL_JITTER_FRAC),
-# so the mean dwell equals episode_mean_len_s exactly while transitions stay
+# Episode length is uniform in EPISODE_MEAN_LEN_S * (1 +- DWELL_JITTER_FRAC),
+# so the mean dwell equals EPISODE_MEAN_LEN_S exactly while transitions stay
 # loosely periodic instead of memoryless.
 DWELL_JITTER_FRAC = 0.3
+
+_LINK_ENVELOPE = (ENVELOPE_LOSS_PCT, ENVELOPE_JITTER_MS, ENVELOPE_THROUGHPUT_MBPS)
+# sigma of the wiggle of loss, jitter and throughput, and of a speed-walk step
+_TICK_SIGMAS = np.array([EPISODE_WIGGLE_FRAC * (hi - lo) for lo, hi in _LINK_ENVELOPE]
+                        + [SPEED_WALK_SIGMA_KMH])
+
+
+class LinkState(NamedTuple):
+    """One Markov state's sub-range of the envelope: lower and upper bounds
+    of loss (percent), jitter and throughput, in that order."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _link_state(*fracs: tuple[float, float]) -> LinkState:
+    """The state whose sub-range of each link metric's envelope spans the
+    given fractions of it."""
+    bounds = [(lo + f_lo * (hi - lo), lo + f_hi * (hi - lo))
+              for (lo, hi), (f_lo, f_hi) in zip(_LINK_ENVELOPE, fracs)]
+    return LinkState(*map(np.array, zip(*bounds)))
+
+
+# each state's sub-ranges, as fractions of the envelope: loss, jitter, throughput
+LINK_STATES: dict[str, LinkState] = {
+    "good": _link_state((0.00, 0.25), (0.00, 0.35), (0.60, 1.00)),
+    "degraded": _link_state((0.20, 0.55), (0.30, 0.65), (0.35, 0.75)),
+    "handover": _link_state((0.50, 1.00), (0.55, 1.00), (0.03, 0.30)),
+    "congested": _link_state((0.35, 0.80), (0.70, 1.00), (0.08, 0.40)),
+}
 
 # Relative destination weights when the chain leaves a state. The handover
 # state is excluded here: its entry probability is carved out separately so
@@ -106,22 +128,15 @@ TRANSITION_WEIGHTS: dict[str, dict[str, float]] = {
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for one synthetic trace.
+    """One synthetic trace: its seed, length, tick, window and id.
 
-    Ranges are global envelopes; loss is expressed in percent. duration_s
-    must cover at least one whole window so a label exists.
+    duration_s must cover at least one whole window so a label exists.
     """
 
     seed: int = 0
     duration_s: int = 600
     tick_s: float = 1.0
     window_s: int = DEFAULT_WINDOW_S
-    loss_pct_range: tuple[float, float] = (0.0, 5.0)
-    jitter_ms_range: tuple[float, float] = (10.0, 100.0)
-    throughput_mbps_range: tuple[float, float] = (5.0, 50.0)
-    speed_kmh_range: tuple[float, float] = (0.0, 80.0)
-    episode_mean_len_s: float = 30.0
-    label_noise_sigma: float = 1.0
     trace_id: str = ""
 
     def validate(self) -> None:
@@ -131,21 +146,12 @@ class GeneratorConfig:
             )
         if self.tick_s <= 0 or self.window_s <= 0:
             raise InvalidConfig("tick_s and window_s must be positive")
-        if self.episode_mean_len_s <= self.tick_s:
-            raise InvalidConfig("episode_mean_len_s must exceed tick_s")
-        if self.label_noise_sigma < 0:
-            raise InvalidConfig("label_noise_sigma must be non-negative")
-        for name in ("loss_pct_range", "jitter_ms_range", "throughput_mbps_range", "speed_kmh_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise InvalidConfig(f"{name}: lower bound {lo} above upper bound {hi}")
-        if self.loss_pct_range[0] < 0 or self.loss_pct_range[1] > 100:
-            raise InvalidConfig("loss_pct_range must stay inside [0, 100]")
-        if self.speed_kmh_range[0] < 0:
-            raise InvalidConfig("speed_kmh_range must be non-negative")
+        if EPISODE_MEAN_LEN_S <= self.tick_s:
+            raise InvalidConfig(
+                f"tick_s={self.tick_s} not shorter than the {EPISODE_MEAN_LEN_S} s mean episode")
 
 
-def transition_row(config: GeneratorConfig, current: str, speed_kmh: float) -> dict[str, float]:
+def transition_row(current: str, speed_kmh: float) -> dict[str, float]:
     """Destination distribution when an episode of `current` ends. Sums to 1.
 
     The handover entry probability is HANDOVER_WEIGHT_AT_REF scaled linearly
@@ -153,7 +159,7 @@ def transition_row(config: GeneratorConfig, current: str, speed_kmh: float) -> d
     destinations in TRANSITION_WEIGHTS proportion. This is the jump chain of
     the episode process; dwell within a state is handled by _draw_dwell_ticks.
     """
-    row = {name: 0.0 for name in STATE_NAMES}
+    row = dict.fromkeys(LINK_STATES, 0.0)
 
     p_handover = 0.0
     if current != "handover":
@@ -169,37 +175,14 @@ def transition_row(config: GeneratorConfig, current: str, speed_kmh: float) -> d
     return row
 
 
-def _draw_dwell_ticks(rng: np.random.Generator, config: GeneratorConfig) -> int:
-    lo = config.episode_mean_len_s * (1.0 - DWELL_JITTER_FRAC)
-    hi = config.episode_mean_len_s * (1.0 + DWELL_JITTER_FRAC)
-    return max(1, int(round(rng.uniform(lo, hi) / config.tick_s)))
+def _draw_dwell_ticks(rng: np.random.Generator, tick_s: float) -> int:
+    lo = EPISODE_MEAN_LEN_S * (1.0 - DWELL_JITTER_FRAC)
+    hi = EPISODE_MEAN_LEN_S * (1.0 + DWELL_JITTER_FRAC)
+    return max(1, int(round(rng.uniform(lo, hi) / tick_s)))
 
 
-def _sub_range(global_range: tuple[float, float], frac: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = global_range
-    span = hi - lo
-    return lo + frac[0] * span, lo + frac[1] * span
-
-
-@dataclass(frozen=True)
-class _EpisodeBase:
-    """Operating point a state episode holds: one draw per metric."""
-
-    loss_pct: float
-    jitter_ms: float
-    throughput_mbps: float
-
-
-def _draw_base(rng: np.random.Generator, config: GeneratorConfig, state: LinkState) -> _EpisodeBase:
-    return _EpisodeBase(
-        loss_pct=float(rng.uniform(*_sub_range(config.loss_pct_range, state.loss_frac))),
-        jitter_ms=float(rng.uniform(*_sub_range(config.jitter_ms_range, state.jitter_frac))),
-        throughput_mbps=float(rng.uniform(*_sub_range(config.throughput_mbps_range, state.throughput_frac))),
-    )
-
-
-def _draw_ticks(rng: np.random.Generator, config: GeneratorConfig, state: LinkState,
-                base: _EpisodeBase, n_ticks: int, speed_steps: int = 0):
+def _draw_ticks(rng: np.random.Generator, tick_s: float, state: LinkState,
+                base: np.ndarray, n_ticks: int, speed_steps: int = 0):
     """Draw n_ticks ticks of one episode from one block of normals.
 
     Each tick draws loss, jitter and throughput, wiggled around the
@@ -210,21 +193,15 @@ def _draw_ticks(rng: np.random.Generator, config: GeneratorConfig, state: LinkSt
     standard normal. Returns the throughput, jitter, loss-rate and
     loss-count columns as lists, and the speed steps.
     """
-    ranges = (config.loss_pct_range, config.jitter_ms_range, config.throughput_mbps_range)
-    fracs = (state.loss_frac, state.jitter_frac, state.throughput_frac)
-    subs = [_sub_range(r, f) for r, f in zip(ranges, fracs)]
-    sigmas = [EPISODE_WIGGLE_FRAC * (hi - lo) for lo, hi in ranges] + [SPEED_WALK_SIGMA_KMH]
     width = 4 if speed_steps else 3
     n_draws = 3 * n_ticks + speed_steps
     block = np.zeros(width * n_ticks)  # a last speed slot left undrawn is never read
     block[:n_draws] = rng.standard_normal(n_draws)
-    block = 0.0 + block.reshape(n_ticks, width) * sigmas[:width]
-    base_point = np.array([base.loss_pct, base.jitter_ms, base.throughput_mbps])
-    lo, hi = np.array(subs).T
-    loss_pct, jitter, thr = np.minimum(np.maximum(base_point + block[:, :3], lo), hi).T
+    block = 0.0 + block.reshape(n_ticks, width) * _TICK_SIGMAS[:width]
+    loss_pct, jitter, thr = np.minimum(np.maximum(base + block[:, :3], state.lo), state.hi).T
     loss_rate = loss_pct / 100.0
     # nominal 1000 packets/s link; Python ints, which no tick length overflows
-    loss_count = list(map(round, (loss_rate * 1000.0 * config.tick_s).tolist()))
+    loss_count = list(map(round, (loss_rate * 1000.0 * tick_s).tolist()))
     steps = block[:speed_steps, 3].tolist() if speed_steps else []
     return thr.tolist(), jitter.tolist(), loss_rate.tolist(), loss_count, steps
 
@@ -260,9 +237,7 @@ def _label_windows(samples: list[TelemetrySample], config: GeneratorConfig,
     for win in agg.windows(s for s in samples if s.ts_ms >= start_ms):
         if win.ticks != agg.expected or win.dropped is not None:
             continue
-        q = window_qoe(win, prev_qoe, None)
-        if config.label_noise_sigma > 0:
-            q += noise_rng.normal(0.0, config.label_noise_sigma)
+        q = window_qoe(win, prev_qoe, None) + noise_rng.normal(0.0, LABEL_NOISE_SIGMA)
         q = min(max(q, 0.0), 100.0)
         labels.append((win.index, q))
         prev_qoe = q
@@ -276,11 +251,12 @@ def generate_trace(config: GeneratorConfig) -> Trace:
     walk_rng = np.random.default_rng(derive_seed(config.seed, "link-walk"))
     noise_rng = np.random.default_rng(derive_seed(config.seed, "label-noise"))
 
-    speed_lo, speed_hi = config.speed_kmh_range
+    speed_lo, speed_hi = ENVELOPE_SPEED_KMH
     speed = float(walk_rng.uniform(speed_lo, speed_hi))
-    state = "good"
-    base = _draw_base(walk_rng, config, LINK_STATES[state])
-    dwell = _draw_dwell_ticks(walk_rng, config)
+    name = "good"
+    state = LINK_STATES[name]
+    base = walk_rng.uniform(state.lo, state.hi)
+    dwell = _draw_dwell_ticks(walk_rng, config.tick_s)
     ts_ms = [round(i * config.tick_s * 1000.0) for i in range(n_ticks)]
     samples: list[TelemetrySample] = []
     while len(samples) < n_ticks:
@@ -289,18 +265,19 @@ def generate_trace(config: GeneratorConfig) -> Trace:
         k = min(dwell, n_ticks - len(samples))
         ends = k == dwell
         thr, jitter, loss_rate, loss_count, steps = _draw_ticks(
-            walk_rng, config, LINK_STATES[state], base, k, k - 1 if ends else k)
+            walk_rng, config.tick_s, state, base, k, k - 1 if ends else k)
         speeds = []
         for step in steps:
             speeds.append(speed)
             speed = float(min(max(speed + step * config.tick_s, speed_lo), speed_hi))
         if ends:
             speeds.append(speed)
-            row = transition_row(config, state, speed)
+            row = transition_row(name, speed)
             names = list(row.keys())
-            state = str(walk_rng.choice(names, p=[row[n] for n in names]))
-            base = _draw_base(walk_rng, config, LINK_STATES[state])
-            dwell = _draw_dwell_ticks(walk_rng, config)
+            name = str(walk_rng.choice(names, p=[row[n] for n in names]))
+            state = LINK_STATES[name]
+            base = walk_rng.uniform(state.lo, state.hi)
+            dwell = _draw_dwell_ticks(walk_rng, config.tick_s)
             step = walk_rng.normal(0.0, SPEED_WALK_SIGMA_KMH)
             speed = float(min(max(speed + step * config.tick_s, speed_lo), speed_hi))
         samples += map(TelemetrySample, ts_ms[len(samples):len(samples) + k],
@@ -340,13 +317,13 @@ def inject_episode(trace: Trace, start_s: float, length_s: float, state_name: st
     rng = np.random.default_rng(derive_seed(seed, "inject"))
     lo_ms, hi_ms = start_s * 1000.0, (start_s + length_s) * 1000.0
     state = LINK_STATES[state_name]
-    base = _draw_base(rng, config, state)
+    base = rng.uniform(state.lo, state.hi)
     # timestamps strictly increase, so the span is one run of samples
     span = [i for i, s in enumerate(trace.samples) if lo_ms <= s.ts_ms < hi_ms]
     new_samples = list(trace.samples)
     if span:
         first, n = span[0], len(span)
-        thr, jitter, loss_rate, loss_count, _ = _draw_ticks(rng, config, state, base, n)
+        thr, jitter, loss_rate, loss_count, _ = _draw_ticks(rng, config.tick_s, state, base, n)
         new_samples[first:first + n] = [
             s._replace(throughput_mbps=t, jitter_ms=j, loss_rate=r, loss_count=c)
             for s, t, j, r, c in zip(trace.samples[first:], thr, jitter, loss_rate, loss_count)]

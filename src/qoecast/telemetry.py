@@ -39,8 +39,8 @@ def fmt_float(x: float) -> str:
 class TelemetrySample(NamedTuple):
     """One measurement tick, an immutable named tuple.
 
-    qoe is an optional in-band measured QoE value; it is absent in stored
-    traces (labels live in the sidecar) but may appear on live streams.
+    qoe is an optional in-band measured QoE value; generated traces leave
+    it out (their labels live in the sidecar), live streams may carry it.
     """
 
     ts_ms: int
@@ -50,19 +50,6 @@ class TelemetrySample(NamedTuple):
     loss_count: int
     speed_kmh: float
     qoe: float | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "ts_ms": self.ts_ms,
-            "throughput_mbps": self.throughput_mbps,
-            "jitter_ms": self.jitter_ms,
-            "loss_rate": self.loss_rate,
-            "loss_count": self.loss_count,
-            "speed_kmh": self.speed_kmh,
-        }
-        if self.qoe is not None:
-            d["qoe"] = self.qoe
-        return d
 
 
 @dataclass(frozen=True)
@@ -214,6 +201,18 @@ class WindowAggregator:
 
 # ------------------------------------------------------------------ parsing
 
+MAX_SHOWN_CHARS = 64  # an error detail names a longer value by its length
+
+
+def _shown(detail: str, v) -> str:
+    """An error detail that may echo the value v, with a string v longer
+    than MAX_SHOWN_CHARS, quoted or not, replaced by its length."""
+    if isinstance(v, str) and len(v) > MAX_SHOWN_CHARS:
+        length = f"<{len(v)} characters>"
+        detail = detail.replace(repr(v), length).replace(v, length)
+    return detail
+
+
 def _integer(v) -> int:
     """A strict integer: 12 and 12.0 pass; true, 1500.7, inf and an integer
     too large for a float do not."""
@@ -267,7 +266,7 @@ def _parse_record(raw: dict, record_no: int) -> TelemetrySample:
         speed = v if type(v) is float else float(v)
     except (TypeError, ValueError, OverflowError) as exc:
         # None and "" never convert, so a missing value lands here too
-        detail = "missing" if v is None or v == "" else str(exc)
+        detail = "missing" if v is None or v == "" else _shown(str(exc), v)
         raise MalformedRow(record_no, name, detail) from None
     # Every comparison is False for NaN and each upper bound excludes
     # infinity, so these checks also reject every non-finite value.
@@ -407,9 +406,12 @@ def load_labels(path: str | Path) -> tuple[tuple[int, float], ...]:
         if not row or all(not c.strip() for c in row):
             continue
         try:
-            idx, q = int(row[0]), float(row[1])
+            v = row[0]
+            idx = int(v)
+            v = row[1]
+            q = float(v)
         except (IndexError, ValueError) as exc:
-            raise MalformedRow(i, "qoe", str(exc)) from None
+            raise MalformedRow(i, "qoe", _shown(str(exc), v)) from None
         if not (0.0 <= q <= 100.0):
             raise MalformedRow(i, "qoe", f"out of range: {q}")
         out.append((idx, q))
@@ -417,6 +419,13 @@ def load_labels(path: str | Path) -> tuple[tuple[int, float], ...]:
 
 
 # ------------------------------------------------------------------ writing
+
+# One line per tick and format: the six fields, then the qoe cell, which
+# closes the NDJSON object.
+_CSV_LINE = "%d,%s,%s,%s,%d,%s"
+_NDJSON_LINE = ('{"ts_ms": %d, "throughput_mbps": %s, "jitter_ms": %s, '
+                '"loss_rate": %s, "loss_count": %d, "speed_kmh": %s')
+
 
 def write_trace(
     trace: Trace,
@@ -428,51 +437,34 @@ def write_trace(
 ) -> None:
     """Write a trace (and its labels, if any) to disk.
 
-    With inband_qoe=True each tick additionally carries its window's label
-    under a "qoe" key, which is what a live probe that measures QoE in-band
-    would emit. Floats use shortest round-trip formatting, so
-    load(write(trace)) reproduces the trace exactly.
+    A tick's own qoe is written as is. With inband_qoe=True a tick without
+    one carries its window's label under "qoe" instead, which is what a
+    live probe that measures QoE in-band would emit. Floats use shortest
+    round-trip formatting, so load(write(trace)) reproduces the trace
+    exactly.
     """
     path = Path(path)
     if fmt is None:
         fmt = _trace_format(path)
     label_of = trace.label_map() if inband_qoe else {}
     window_ms = window_s * 1000
-
-    def tick_qoe(s: TelemetrySample) -> float | None:
-        if s.qoe is not None:
-            return s.qoe
-        if not label_of:
-            return None
-        return label_of.get(s.ts_ms // window_ms)
-
-    lines: list[str] = []
+    # the one qoe rule: the tick's own value, else its window's label
+    qoes = [s.qoe if s.qoe is not None else label_of.get(s.ts_ms // window_ms)
+            for s in trace.samples]
     if fmt == "csv":
-        header = CSV_HEADER + (",qoe" if inband_qoe else "")
-        lines.append(header)
-        for s in trace.samples:
-            cells = [
-                str(s.ts_ms),
-                fmt_float(s.throughput_mbps),
-                fmt_float(s.jitter_ms),
-                fmt_float(s.loss_rate),
-                str(s.loss_count),
-                fmt_float(s.speed_kmh),
-            ]
-            if inband_qoe:
-                q = tick_qoe(s)
-                cells.append("" if q is None else fmt_float(q))
-            lines.append(",".join(cells))
+        qoe_column = inband_qoe or any(q is not None for q in qoes)
+        head = [CSV_HEADER + ",qoe" if qoe_column else CSV_HEADER]
+        line, with_qoe, without_qoe = _CSV_LINE, ",%s", "," if qoe_column else ""
     elif fmt == "ndjson":
-        for s in trace.samples:
-            d = s.to_dict()
-            if inband_qoe:
-                q = tick_qoe(s)
-                if q is not None:
-                    d["qoe"] = q
-            lines.append(json.dumps(d))
+        head = []
+        line, with_qoe, without_qoe = _NDJSON_LINE, ', "qoe": %s}', "}"
     else:
         raise ValueError(f"unknown trace format: {fmt}")
+    lines = head + [
+        line % (s.ts_ms, fmt_float(s.throughput_mbps), fmt_float(s.jitter_ms),
+                fmt_float(s.loss_rate), s.loss_count, fmt_float(s.speed_kmh))
+        + (without_qoe if q is None else with_qoe % fmt_float(q))
+        for s, q in zip(trace.samples, qoes)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     if labels_path is not None and trace.labels is not None:

@@ -72,34 +72,25 @@ def logcosh_loss(tape: Tape | None, pred: Tensor, target: np.ndarray) -> Tensor:
 
 # ------------------------------------------------------------ configuration
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
+# The training schedule is part of the protocol every variant is fitted
+# under, so its values are constants.
+ADAM_LR = 1e-3  # initial learning rate
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-7
 
+EARLY_STOP_PATIENCE = 10  # epochs without improvement before stopping
+EARLY_STOP_MIN_DELTA = 1e-7  # absolute val-loss improvement that counts
 
-@dataclass(frozen=True)
-class EarlyStopConfig:
-    patience: int = 10
-    min_delta: float = 1e-7  # absolute val-loss improvement that counts
-
-
-@dataclass(frozen=True)
-class PlateauConfig:
-    factor: float = 0.5
-    patience: int = 5
-    min_lr: float = 1e-5
+PLATEAU_FACTOR = 0.5  # lr multiplier after a plateau
+PLATEAU_PATIENCE = 5  # epochs without improvement that make a plateau
+PLATEAU_MIN_LR = 1e-5
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
     max_epochs: int = 200
-    adam: AdamConfig = AdamConfig()
-    early_stop: EarlyStopConfig = EarlyStopConfig()
-    plateau: PlateauConfig = PlateauConfig()
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -145,10 +136,9 @@ class Adam:
     moves once it is not. lr is mutable so a schedule can decay it.
     """
 
-    def __init__(self, params: dict[str, Tensor], config: AdamConfig):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.config = config
-        self.lr = config.lr
+        self.lr = ADAM_LR
         self.t = 0
         size = sum(p.data.size for p in params.values())
         self._flat = np.empty(size)
@@ -168,10 +158,9 @@ class Adam:
             offset = end
 
     def step(self) -> None:
-        c = self.config
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g in self._slots:
             if p.grad is None:
                 g.fill(0.0)
@@ -181,18 +170,18 @@ class Adam:
         # the per-tensor update, in place and in the same operation order:
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        m *= c.beta1
-        np.multiply(g, 1.0 - c.beta1, out=s)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
         m += s
-        v *= c.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=s)
-        s *= 1.0 - c.beta2
+        s *= 1.0 - ADAM_BETA2
         v += s
         np.divide(m, bc1, out=s)
         s *= self.lr
         np.divide(v, bc2, out=u)
         np.sqrt(u, out=u)
-        u += c.eps
+        u += ADAM_EPS
         s /= u
         self._flat -= s
 
@@ -207,11 +196,12 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
                  config: TrainConfig) -> tuple[ModelBundle, TrainHistory]:
     """Fit one neural variant on the dataset's train split, monitoring val.
 
-    Early stopping: stop after `patience` epochs without the val loss
-    improving by more than min_delta, then restore the best epoch's weights.
-    Plateau schedule: halve the lr (down to min_lr) after its own patience
-    of non-improving epochs. All randomness (init, shuffling, dropout) is
-    derived from config.seed and the variant id.
+    Early stopping: stop after EARLY_STOP_PATIENCE epochs without the val
+    loss improving by more than EARLY_STOP_MIN_DELTA, then restore the best
+    epoch's weights. Plateau schedule: scale the lr by PLATEAU_FACTOR (down
+    to PLATEAU_MIN_LR) after PLATEAU_PATIENCE non-improving epochs. All
+    randomness (init, shuffling, dropout) is derived from config.seed and
+    the variant id.
     """
     X_train, y_train = dataset.arrays("train")
     X_val, y_val = dataset.arrays("val")
@@ -221,7 +211,7 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
 
     params_np = model.init_params(derive_seed(config.seed, f"init:{model.variant_id}"))
     params = {k: Tensor(v) for k, v in params_np.items()}
-    opt = Adam(params, config.adam)
+    opt = Adam(params)
     shuffle_rng = np.random.default_rng(
         derive_seed(config.seed, f"shuffle:{model.variant_id}"))
 
@@ -231,8 +221,6 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
     best_train = np.inf
     es_wait = 0
     plateau_wait = 0
-    es = config.early_stop
-    pl = config.plateau
     n = len(X_train)
 
     for epoch in range(1, config.max_epochs + 1):
@@ -264,7 +252,7 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
             epoch=epoch, train_loss=train_loss, val_loss=val_loss,
             lr=opt.lr, seconds=time.perf_counter() - t0))
 
-        if best_val - val_loss > es.min_delta:
+        if best_val - val_loss > EARLY_STOP_MIN_DELTA:
             best_val = val_loss
             best_train = train_loss
             best_weights = {k: p.data.copy() for k, p in params.items()}
@@ -274,10 +262,10 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
         else:
             es_wait += 1
             plateau_wait += 1
-            if plateau_wait >= pl.patience and opt.lr > pl.min_lr:
-                opt.lr = max(opt.lr * pl.factor, pl.min_lr)
+            if plateau_wait >= PLATEAU_PATIENCE and opt.lr > PLATEAU_MIN_LR:
+                opt.lr = max(opt.lr * PLATEAU_FACTOR, PLATEAU_MIN_LR)
                 plateau_wait = 0
-            if es_wait >= es.patience:
+            if es_wait >= EARLY_STOP_PATIENCE:
                 history.stopped_early = True
                 break
 

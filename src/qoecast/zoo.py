@@ -369,15 +369,20 @@ def serialize(bundle: ModelBundle) -> str:
 def deserialize(text: str) -> ModelBundle:
     """Parse and validate a bundle document.
 
-    Checks the format version, the CRC-32 of the params section, declared
-    shapes against value counts, and both against the architecture's own
-    parameter spec.
+    Checks the format version, the geometry against the fixed protocol, the
+    CRC-32 of the params section, declared shapes against value counts, and
+    both against the architecture's own parameter spec. A context_len or
+    feature_order other than the protocol's raises ShapeMismatch naming the
+    field, as load_dataset does.
     """
     doc = json.loads(text)
     version = doc.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionMismatch(
             f"bundle format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
+    for key, want in (("context_len", CONTEXT_LEN), ("feature_order", list(FEATURE_NAMES))):
+        if doc.get(key) != want:
+            raise ShapeMismatch(f"bundle {key} is {doc.get(key)!r}, the model zoo takes {want!r}")
     variant_id = doc["variant_id"]
     model = build_variant(variant_id)  # raises UnknownVariant
 

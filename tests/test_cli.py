@@ -1,7 +1,9 @@
 import argparse
 import csv
+import importlib
 import io
 import json
+import re
 import shlex
 import shutil
 import subprocess
@@ -56,8 +58,7 @@ class TestPipelineFlow:
                                              duration_s=600,
                                              trace_id="trace_00"))
         assert len(trace.samples) == 600
-        assert [s.to_dict() for s in trace.samples] == \
-               [s.to_dict() for s in ref.samples]
+        assert trace.samples == ref.samples
         assert trace.labels == ref.labels
 
     def test_prepare_dataset_counts(self, flow):
@@ -334,6 +335,22 @@ def test_readme_quick_start_parses():
     parser = build_parser()
     for command in commands:
         parser.parse_args(command[1:])  # UsageError on an option the CLI lacks
+
+
+def test_readme_protocol_constants_resolve():
+    # every constant the "Fixed protocols" table names exists: module.NAME,
+    # or module.PREFIX_* with at least one NAME under the prefix
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Fixed protocols", 1)[1].split("\n#", 1)[0]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    names = re.findall(r"`(\w+)\.(\w+)(\*?)`", table)
+    assert len(names) >= 12
+    for module, name, star in names:
+        attrs = vars(importlib.import_module(f"qoecast.{module}"))
+        if star:
+            assert any(a.startswith(name) for a in attrs), f"{module}.{name}*"
+        else:
+            assert name in attrs, f"{module}.{name}"
 
 
 def test_console_script_installed():

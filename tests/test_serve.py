@@ -51,8 +51,10 @@ def _sample(i, thr=30.0, jit=15.0, loss=0.01, loss_count=10, speed=40.0,
 
 
 def _line(i, **kw):
-    s = _sample(i, **kw)
-    return json.dumps(s.to_dict()) + "\n"
+    rec = _sample(i, **kw)._asdict()
+    if rec["qoe"] is None:
+        del rec["qoe"]
+    return json.dumps(rec) + "\n"
 
 
 # Lines that trace files and live streams both reject, each with the field

@@ -7,10 +7,15 @@ import pytest
 
 from qoecast.errors import InvalidConfig, SpanOutOfRange
 from qoecast.seeding import derive_seed
+from qoecast import synthgen
 from qoecast.synthgen import (
     DWELL_JITTER_FRAC,
+    ENVELOPE_JITTER_MS,
+    ENVELOPE_LOSS_PCT,
+    ENVELOPE_SPEED_KMH,
+    ENVELOPE_THROUGHPUT_MBPS,
+    EPISODE_MEAN_LEN_S,
     LINK_STATES,
-    STATE_NAMES,
     GeneratorConfig,
     generate_trace,
     inject_episode,
@@ -65,23 +70,20 @@ class TestOracle:
 
 class TestTransitionRow:
     def test_rows_sum_to_one(self):
-        cfg = GeneratorConfig(seed=0)
-        for st in STATE_NAMES:
+        for st in LINK_STATES:
             for speed in (0.0, 20.0, 55.0, 80.0):
-                row = transition_row(cfg, st, speed)
+                row = transition_row(st, speed)
                 assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
                 assert row[st] == 0.0  # jump chain: always leaves
 
     def test_handover_weight_linear_in_speed(self):
-        cfg = GeneratorConfig(seed=0)
-        p40 = transition_row(cfg, "good", 40.0)["handover"]
-        p80 = transition_row(cfg, "good", 80.0)["handover"]
+        p40 = transition_row("good", 40.0)["handover"]
+        p80 = transition_row("good", 80.0)["handover"]
         assert p80 == pytest.approx(2 * p40)
-        assert transition_row(cfg, "good", 0.0)["handover"] == 0.0
+        assert transition_row("good", 0.0)["handover"] == 0.0
 
     def test_handover_never_self_enters(self):
-        cfg = GeneratorConfig(seed=0)
-        assert transition_row(cfg, "handover", 80.0)["handover"] == 0.0
+        assert transition_row("handover", 80.0)["handover"] == 0.0
 
 
 class TestGenerateTrace:
@@ -119,15 +121,14 @@ class TestGenerateTrace:
         assert _trace_digest(generate_trace(config)) == digest
 
     def test_ranges_hold_across_seeds(self):
-        # every sample inside the configured envelope, many seeds
+        # every sample inside the envelope, many seeds
         for seed in range(100):
-            cfg = GeneratorConfig(seed=seed, duration_s=60)
-            tr = generate_trace(cfg)
+            tr = generate_trace(GeneratorConfig(seed=seed, duration_s=60))
             for s in tr.samples:
-                assert cfg.loss_pct_range[0] / 100 <= s.loss_rate <= cfg.loss_pct_range[1] / 100
-                assert cfg.jitter_ms_range[0] <= s.jitter_ms <= cfg.jitter_ms_range[1]
-                assert cfg.throughput_mbps_range[0] <= s.throughput_mbps <= cfg.throughput_mbps_range[1]
-                assert cfg.speed_kmh_range[0] <= s.speed_kmh <= cfg.speed_kmh_range[1]
+                assert ENVELOPE_LOSS_PCT[0] / 100 <= s.loss_rate <= ENVELOPE_LOSS_PCT[1] / 100
+                assert ENVELOPE_JITTER_MS[0] <= s.jitter_ms <= ENVELOPE_JITTER_MS[1]
+                assert ENVELOPE_THROUGHPUT_MBPS[0] <= s.throughput_mbps <= ENVELOPE_THROUGHPUT_MBPS[1]
+                assert ENVELOPE_SPEED_KMH[0] <= s.speed_kmh <= ENVELOPE_SPEED_KMH[1]
                 assert s.loss_count == round(s.loss_rate * 1000)
 
     def test_labels_in_bounds(self):
@@ -139,18 +140,14 @@ class TestGenerateTrace:
         with pytest.raises(InvalidConfig):
             generate_trace(GeneratorConfig(seed=0, duration_s=9))
 
-    def test_bad_ranges_rejected(self):
+    def test_tick_not_shorter_than_an_episode_rejected(self):
         with pytest.raises(InvalidConfig):
-            generate_trace(GeneratorConfig(seed=0, loss_pct_range=(5.0, 1.0)))
+            generate_trace(GeneratorConfig(seed=0, tick_s=EPISODE_MEAN_LEN_S))
 
-    def test_negative_noise_rejected(self):
-        with pytest.raises(InvalidConfig):
-            generate_trace(GeneratorConfig(seed=0, label_noise_sigma=-1.0))
-
-    def test_smoothing_links_consecutive_windows(self):
+    def test_smoothing_links_consecutive_windows(self, monkeypatch):
         # with zero noise, window w's label is 0.7*oracle(w) + 0.3*label(w-1)
-        cfg = GeneratorConfig(seed=9, duration_s=200, label_noise_sigma=0.0)
-        tr = generate_trace(cfg)
+        monkeypatch.setattr(synthgen, "LABEL_NOISE_SIGMA", 0.0)
+        tr = generate_trace(GeneratorConfig(seed=9, duration_s=200))
         by_w = {}
         for s in tr.samples:
             by_w.setdefault(s.ts_ms // 10000, []).append(s)
@@ -166,9 +163,8 @@ class TestGenerateTrace:
             prev = labels[w]
 
     def test_episode_lengths_near_mean(self):
-        # dwell is uniform around episode_mean_len_s
-        cfg = GeneratorConfig(seed=21, duration_s=3000)
-        tr = generate_trace(cfg)
+        # dwell is uniform around EPISODE_MEAN_LEN_S
+        tr = generate_trace(GeneratorConfig(seed=21, duration_s=3000))
         # read off episodes from throughput jumps: state changes redraw base
         lens = []
         run = 1
@@ -179,8 +175,8 @@ class TestGenerateTrace:
                 run = 0
             run += 1
             prev = s.throughput_mbps
-        lo = cfg.episode_mean_len_s * (1 - DWELL_JITTER_FRAC)
-        hi = cfg.episode_mean_len_s * (1 + DWELL_JITTER_FRAC)
+        lo = EPISODE_MEAN_LEN_S * (1 - DWELL_JITTER_FRAC)
+        hi = EPISODE_MEAN_LEN_S * (1 + DWELL_JITTER_FRAC)
         # jump detection may merge episodes with similar bases, so test the mean
         assert lo <= np.mean(lens) <= hi * 1.5
 
@@ -197,10 +193,9 @@ class TestInjectEpisode:
 
     def test_span_redrawn_from_state(self, trace):
         out = inject_episode(trace, 100, 50, "congested", seed=4)
-        sub = LINK_STATES["congested"]
-        cfg = GeneratorConfig()
-        lo = cfg.throughput_mbps_range[0] + sub.throughput_frac[0] * (cfg.throughput_mbps_range[1] - cfg.throughput_mbps_range[0])
-        hi = cfg.throughput_mbps_range[0] + sub.throughput_frac[1] * (cfg.throughput_mbps_range[1] - cfg.throughput_mbps_range[0])
+        # congestion holds throughput to 8-40 % of the 5-50 Mbps envelope
+        lo, hi = 5.0 + 0.08 * 45.0, 5.0 + 0.40 * 45.0
+        assert (LINK_STATES["congested"].lo[2], LINK_STATES["congested"].hi[2]) == (lo, hi)
         for s in out.samples[100:150]:
             assert lo <= s.throughput_mbps <= hi
 
@@ -214,15 +209,15 @@ class TestInjectEpisode:
         assert [l for l in out.labels if l[0] < 10] == kept
         assert len(out.labels) == len(trace.labels)
 
-    def test_relabels_past_a_window_that_is_not_whole(self):
+    def test_relabels_past_a_window_that_is_not_whole(self, monkeypatch):
         # window 5 loses 3 of its 10 ticks (below 80 % coverage): it stays
         # unlabelled, and relabelling goes on after it, chained on window 4
-        tr = generate_trace(GeneratorConfig(seed=3, duration_s=200, label_noise_sigma=0.0))
+        monkeypatch.setattr(synthgen, "LABEL_NOISE_SIGMA", 0.0)
+        tr = generate_trace(GeneratorConfig(seed=3, duration_s=200))
         gapped = replace(tr, samples=tuple(s for s in tr.samples
                                            if not 50_000 <= s.ts_ms < 53_000),
                          labels=tuple(l for l in tr.labels if l[0] != 5))
-        out = inject_episode(gapped, 0, 20, "handover", seed=1,
-                             config=GeneratorConfig(label_noise_sigma=0.0))
+        out = inject_episode(gapped, 0, 20, "handover", seed=1)
         assert [w for w, _ in out.labels] == [w for w in range(20) if w != 5]
         labels = dict(out.labels)
         by_w = {}

@@ -1,11 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from qoecast.errors import EmptyTrace, MalformedRow, NonMonotonicTimestamp
+from qoecast.synthgen import GeneratorConfig, generate_trace
 from qoecast.telemetry import (
     CSV_HEADER,
+    FIELD_NAMES,
     TelemetrySample,
     Trace,
     WindowAggregator,
@@ -90,6 +93,27 @@ class TestRoundTrip:
         back = load_trace(p)
         assert all(s.qoe == 40.0 for s in back.samples[:10])
         assert all(s.qoe == 60.0 for s in back.samples[10:])
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    def test_own_qoe_round_trips(self, tmp_path, fmt):
+        # a sample's own qoe is written whether or not inband_qoe is set
+        tr = Trace(samples=tuple(_sample(i, qoe=55.5) for i in range(3)), trace_id="t")
+        p = tmp_path / f"t.{fmt}"
+        write_trace(tr, p)
+        assert load_trace(p) == tr
+
+    @pytest.mark.parametrize("fmt,inband,digest", [
+        ("csv", False, "d8759e1b01e9a6e0c67e9f9aea4e872b2dd6b9ddefab4de40f36ed2c94e3d402"),
+        ("csv", True, "26d40c004b094982f8fcda28ee18aafefb2afd1501d65143a19feb9f9c94fda1"),
+        ("ndjson", False, "58232c7f391c5f94d01fb99b5bce34f42ead6e8ae6680a3edc5f0c56c6f70bb8"),
+        ("ndjson", True, "df82348f53c992703b2af7cadc319885ed7fef5008b567372014bcf46f4cdf17"),
+    ])
+    def test_written_bytes_pinned(self, tmp_path, fmt, inband, digest):
+        # every byte of a generated trace as each format writes it
+        tr = generate_trace(GeneratorConfig(seed=1, duration_s=600))
+        p = tmp_path / f"t.{fmt}"
+        write_trace(tr, p, inband_qoe=inband)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
 
     def test_labels_round_trip(self, tmp_path):
         labels = ((0, 33.3), (1, 0.0), (2, 100.0))
@@ -233,6 +257,41 @@ class TestNumericStrictness:
         with pytest.raises(MalformedRow) as e:
             load_trace(p)
         assert e.value.field == field
+
+    @pytest.mark.parametrize("value", ["x" * 100_000, "1" * 4403], ids=["junk", "digits"])
+    @pytest.mark.parametrize("field", [*FIELD_NAMES, "qoe"])
+    def test_long_value_named_by_its_length(self, tmp_path, field, value):
+        # an error detail used to echo the whole value, 100,000 characters
+        # of it; past 64 characters it names the length
+        for p in (tmp_path / "t.ndjson", tmp_path / "t.csv"):
+            if p.suffix == ".csv":
+                rec = json.loads(_ndjson_record(**{"qoe": 50.0, field: value}))
+                p.write_text(CSV_HEADER + ",qoe\n" + ",".join(map(str, rec.values())) + "\n")
+            else:
+                p.write_text(_ndjson_record(**{field: value}) + "\n")
+            with pytest.raises(MalformedRow) as e:
+                load_trace(p)
+            assert e.value.field == field
+            assert len(str(e.value)) < 120
+        if field != "qoe" and (value[0] == "x" or field in ("ts_ms", "loss_count")):
+            assert str(e.value).endswith(f": <{len(value)} characters>)")
+
+    def test_long_label_named_by_its_length(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("window_index,qoe\n0," + "x" * 100_000 + "\n")
+        with pytest.raises(MalformedRow, match=r": <100000 characters>\)$"):
+            load_labels(p)
+
+    def test_short_values_echoed_as_before(self, tmp_path):
+        p = tmp_path / "t.ndjson"
+        p.write_text(_ndjson_record(ts_ms="1.5", speed_kmh="abc") + "\n")
+        with pytest.raises(MalformedRow) as e:
+            load_trace(p)
+        assert str(e.value) == "record 1: bad value for 'ts_ms' (not an integer: 1.5)"
+        p.write_text(_ndjson_record(speed_kmh="x" * 64) + "\n")
+        with pytest.raises(MalformedRow) as e:
+            load_trace(p)
+        assert str(e.value).endswith("(could not convert string to float: '" + "x" * 64 + "')")
 
     def test_integral_floats_accepted_for_integer_fields(self, tmp_path):
         p = tmp_path / "t.ndjson"

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from qoecast import train
 from qoecast.cli import main
 from qoecast.errors import (
     DivergedLoss,
@@ -23,10 +24,10 @@ from qoecast.nncore import Tape, Tensor, backward
 from qoecast.pipeline import load_dataset, save_dataset
 from qoecast.seeding import derive_seed
 from qoecast.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
-    AdamConfig,
-    EarlyStopConfig,
-    PlateauConfig,
     TrainConfig,
     fit_linear,
     kkt_residual,
@@ -88,7 +89,7 @@ class TestLosses:
 class TestAdam:
     def test_first_step_hand_check(self):
         p = Tensor(np.array([1.0, -2.0]))
-        opt = Adam({"p": p}, AdamConfig())
+        opt = Adam({"p": p})
         g = np.array([0.5, -0.25])
         p.grad = g.copy()
         opt.step()
@@ -99,20 +100,20 @@ class TestAdam:
 
     def test_none_gradient_is_noop(self):
         p = Tensor(np.array([3.0]))
-        opt = Adam({"p": p}, AdamConfig())
+        opt = Adam({"p": p})
         opt.step()
         assert p.data == pytest.approx([3.0], abs=0)
 
     def test_zero_grads_clears(self):
         p = Tensor(np.array([3.0]))
-        opt = Adam({"p": p}, AdamConfig())
+        opt = Adam({"p": p})
         p.grad = np.array([1.0])
         opt.zero_grads()
         assert p.grad is None
 
     def test_lr_mutable_mid_run(self):
         p = Tensor(np.array([0.0]))
-        opt = Adam({"p": p}, AdamConfig())
+        opt = Adam({"p": p})
         opt.lr = 0.5
         p.grad = np.array([1.0])
         opt.step()
@@ -121,7 +122,8 @@ class TestAdam:
     def test_descends_quadratic(self):
         # minimize (w - 3)^2 by explicit gradients
         w = Tensor(np.array([0.0]))
-        opt = Adam({"w": w}, AdamConfig(lr=0.1))
+        opt = Adam({"w": w})
+        opt.lr = 0.1
         for _ in range(500):
             opt.zero_grads()
             w.grad = 2.0 * (w.data - 3.0)
@@ -132,8 +134,8 @@ class TestAdam:
         shapes = {"k": (6, 4), "b": (4,), "s": (1,), "r": (3, 2, 5)}
         init = {k: rng.standard_normal(s) for k, s in shapes.items()}
         params = {k: Tensor(v.copy()) for k, v in init.items()}
-        cfg = AdamConfig(lr=0.01)
-        opt = Adam(params, cfg)
+        opt = Adam(params)
+        opt.lr = 0.01
         ref = {k: v.copy() for k, v in init.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
@@ -144,12 +146,12 @@ class TestAdam:
             for k, p in params.items():
                 p.grad = rng.standard_normal(shapes[k]) * 10.0 ** rng.integers(-6, 2)
             # the per-tensor formula
-            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
             for k, p in params.items():
                 g = p.grad
-                m[k] = m[k] * cfg.beta1 + (1.0 - cfg.beta1) * g
-                v[k] = v[k] * cfg.beta2 + (1.0 - cfg.beta2) * (g * g)
-                ref[k] = ref[k] - opt.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
+                m[k] = m[k] * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+                v[k] = v[k] * ADAM_BETA2 + (1.0 - ADAM_BETA2) * (g * g)
+                ref[k] = ref[k] - opt.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPS)
             opt.step()
             for k, p in params.items():
                 assert p.data.shape == shapes[k]
@@ -157,7 +159,7 @@ class TestAdam:
 
     def test_absent_gradient_moves_once_moment_is_nonzero(self):
         p = Tensor(np.array([1.0, 2.0]))
-        opt = Adam({"p": p}, AdamConfig())
+        opt = Adam({"p": p})
         p.grad = np.array([0.5, 0.0])
         opt.step()
         after_first = p.data.copy()
@@ -175,11 +177,11 @@ def _fresh_copy(dataset, tmp_path, name):
 
 
 class TestNeuralTraining:
-    def test_early_stop_restores_best_epoch(self, small_dataset):
+    def test_early_stop_restores_best_epoch(self, small_dataset, monkeypatch):
         # min_delta so large no epoch after the first ever counts as an
         # improvement: stop at epoch 11, keep epoch 1 weights
-        cfg = TrainConfig(seed=9, max_epochs=40,
-                          early_stop=EarlyStopConfig(patience=10, min_delta=1e9))
+        monkeypatch.setattr(train, "EARLY_STOP_MIN_DELTA", 1e9)
+        cfg = TrainConfig(seed=9, max_epochs=40)
         bundle, history = train_variant("dnn_basic", small_dataset, cfg)
         assert history.stopped_early
         assert len(history.records) == 11
@@ -190,19 +192,20 @@ class TestNeuralTraining:
         for k in bundle.params:
             assert np.array_equal(bundle.params[k], one_epoch.params[k])
 
-    def test_plateau_halves_lr(self, small_dataset):
-        cfg = TrainConfig(seed=9, max_epochs=40,
-                          early_stop=EarlyStopConfig(patience=10, min_delta=1e9))
+    def test_plateau_halves_lr(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(train, "EARLY_STOP_MIN_DELTA", 1e9)
+        cfg = TrainConfig(seed=9, max_epochs=40)
         _, history = train_variant("dnn_basic", small_dataset, cfg)
         lrs = [r.lr for r in history.records]
         assert lrs == sorted(lrs, reverse=True)
         assert lrs[:6] == [1e-3] * 6  # halving lands after epoch 6's record
         assert lrs[6:] == [5e-4] * 5
 
-    def test_plateau_respects_min_lr(self, small_dataset):
-        cfg = TrainConfig(seed=9, max_epochs=14,
-                          early_stop=EarlyStopConfig(patience=50, min_delta=1e9),
-                          plateau=PlateauConfig(factor=0.5, patience=1, min_lr=1e-5))
+    def test_plateau_respects_min_lr(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(train, "EARLY_STOP_PATIENCE", 50)
+        monkeypatch.setattr(train, "EARLY_STOP_MIN_DELTA", 1e9)
+        monkeypatch.setattr(train, "PLATEAU_PATIENCE", 1)
+        cfg = TrainConfig(seed=9, max_epochs=14)
         _, history = train_variant("dnn_basic", small_dataset, cfg)
         lrs = [r.lr for r in history.records]
         assert lrs == sorted(lrs, reverse=True)

@@ -10,7 +10,7 @@ from qoecast.errors import (
     VersionMismatch,
 )
 from qoecast.nncore import Tensor
-from qoecast.pipeline import QOE_FEATURE, ScalerStats
+from qoecast.pipeline import FEATURE_NAMES, QOE_FEATURE, ScalerStats
 from qoecast.zoo import (
     ALL_VARIANTS,
     BUNDLE_FORMAT_VERSION,
@@ -302,6 +302,16 @@ class TestBundles:
         entry = next(e for e in doc["params"] if e["name"] == "weights")
         entry["shape"] = [1, 30]
         with pytest.raises(ShapeMismatch):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("key,value", [("context_len", 3),
+                                           ("feature_order", list(FEATURE_NAMES[::-1]))])
+    def test_other_geometry_rejected(self, key, value):
+        # the checksum covers only the params, so an edited geometry used to
+        # load and fail later, or be served silently
+        doc = json.loads(serialize(_make_bundle()))
+        doc[key] = value
+        with pytest.raises(ShapeMismatch, match=key):
             deserialize(json.dumps(doc))
 
     def test_checksum_sensitive_to_name_and_order(self):
