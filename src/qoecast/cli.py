@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands mirror the workflow: generate traces, prepare a dataset, train
-variants, evaluate/benchmark them, explain single predictions, serve a
+Six subcommands mirror the workflow: generate traces, prepare a dataset,
+train variants, benchmark them (accuracy, latency, rankings and error
+densities in one run directory), explain single predictions, serve a
 stream. Exit codes: 0 success, 1 usage error, 2 data/domain error,
 3 internal error. Each artifact-producing run writes a manifest recording
 the exact invocation and the master seed, so reruns are reproducible.
@@ -20,11 +21,11 @@ import numpy as np
 from . import __version__
 from .errors import QoecastError
 from .evaluation import (
+    LatencyBudget,
     benchmark_latency,
     evaluate,
     evaluate_baseline,
     export_error_density,
-    latency_budget,
     rank_variants,
     write_metrics_csv,
 )
@@ -137,7 +138,8 @@ def cmd_train(args) -> int:
     if args.all:
         outcomes = run_all_variants(ds, config, out)
         artifacts = ["summary.csv"] + [
-            f"{o.variant_id}.bundle.json" for o in outcomes if o.bundle is not None]
+            f"{o.variant_id}.{kind}" for o in outcomes if o.bundle is not None
+            for kind in ("bundle.json", "history.csv")]
         _write_manifest(out, "train", args, args.seed, artifacts,
                         workers=pool_workers(),
                         wall_s=round(time.perf_counter() - t0, 4),
@@ -161,31 +163,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_bundles(run_dir: Path) -> list[Path]:
-    bundles = sorted(run_dir.glob("*.bundle.json"))
-    if not bundles:
-        raise QoecastError(f"no *.bundle.json files in {run_dir}")
-    return bundles
-
-
-def cmd_evaluate(args) -> int:
-    ds = load_dataset(Path(args.data))
-    run_dir = Path(args.run)
-    reports = [evaluate(load_bundle(p), ds) for p in _run_bundles(run_dir)]
-    reports = rank_variants(reports)
-    out_path = run_dir / "metrics.csv"
-    write_metrics_csv(reports, out_path)
-    for r in reports:
-        print(f"{r.variant_id:16s} rmse={r.rmse:8.4f} mae={r.mae:8.4f}")
-    print(f"wrote {out_path}")
-    return 0
-
-
 def cmd_benchmark(args) -> int:
     ds = load_dataset(Path(args.data))
     run_dir = Path(args.run)
+    paths = sorted(run_dir.glob("*.bundle.json"))
+    if not paths:
+        raise QoecastError(f"no *.bundle.json files in {run_dir}")
     reports = []
-    for p in _run_bundles(run_dir):
+    for p in paths:
         bundle = load_bundle(p)
         report = evaluate(bundle, ds)
         report.latency = benchmark_latency(bundle, seed=derive_seed(args.seed, f"lat:{bundle.variant_id}"))
@@ -212,7 +197,7 @@ def cmd_benchmark(args) -> int:
         rel = "below" if g.mae < l.mae else "above"
         print(f"finding: gru_basic MAE {g.mae:.4f} is {rel} lstm_basic MAE {l.mae:.4f}")
     if "gru_basic" in by_id:
-        budget = latency_budget(by_id["gru_basic"].latency.mean_ms)
+        budget = LatencyBudget(by_id["gru_basic"].latency.mean_ms)
         print(f"latency budget with gru_basic inference: total "
               f"{budget.total_ms:.1f} ms, margin {budget.margin_ms(ds.window_s):.1f} ms "
               f"at the {ds.window_s} s horizon")
@@ -321,14 +306,9 @@ def build_parser() -> _Parser:
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("evaluate", help="test-split accuracy for trained bundles")
-    e.add_argument("--data", required=True)
-    e.add_argument("--run", required=True, help="directory with *.bundle.json")
-    e.set_defaults(func=cmd_evaluate)
-
     b = sub.add_parser("benchmark", help="accuracy + latency + rankings + densities")
     b.add_argument("--data", required=True)
-    b.add_argument("--run", required=True)
+    b.add_argument("--run", required=True, help="directory with *.bundle.json")
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_benchmark)
 

@@ -117,10 +117,6 @@ class ScalerMismatch(QoecastError):
 
 # ------------------------------------------------------------------ explain
 
-class NonDifferentiableModel(QoecastError):
-    pass
-
-
 class NoAttentionComponent(QoecastError):
     pass
 
@@ -133,3 +129,13 @@ class OutOfOrderSample(QoecastError):
 
 class ScalerMissing(QoecastError):
     pass
+
+
+# ---------------------------------------------------- bundle and dataset files
+
+def malformed(source, exc: KeyError | TypeError) -> ShapeMismatch:
+    """The error for a JSON document, read from `source`, that lacks a key
+    (KeyError) or holds a value of the wrong JSON type (TypeError)."""
+    if isinstance(exc, KeyError):
+        return ShapeMismatch(f"{source}: no {exc.args[0]!r} key")
+    return ShapeMismatch(f"{source}: malformed ({exc})")

@@ -3,7 +3,8 @@
 Predictions are mapped back to QoE units before any metric is computed, so
 MAE/RMSE are directly comparable across variants and against the naive
 last-value baseline. Inference latency uses a fixed protocol: batches of 16,
-10 warmup rounds, 100 timed repetitions.
+10 warmup rounds, 100 timed repetitions. Error densities are 40-bin
+histograms.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySplit, ScalerMismatch
-from .pipeline import PreparedDataset, inverse_target, scaler_fingerprint
+from .pipeline import (CONTEXT_LEN, N_FEATURES, PreparedDataset, inverse_target,
+                       scaler_fingerprint)
 from .zoo import BundleRunner, ModelBundle, last_value_baseline
 
 EVAL_BATCH = 256  # test rows per forward pass; predictions do not depend on it
 LATENCY_BATCH = 16
 LATENCY_WARMUP = 10
 LATENCY_REPS = 100
+DENSITY_BINS = 40  # histogram bins per error density
 
 # density export merges the two non-sequence families, as in the figures
 DENSITY_CLASS = {
@@ -107,7 +110,7 @@ def benchmark_latency(bundle: ModelBundle, seed: int = 0) -> LatencyStats:
     same seeded random batch of LATENCY_BATCH rows."""
     runner = BundleRunner(bundle)
     rng = np.random.default_rng(seed)
-    batch = rng.random((LATENCY_BATCH, bundle.context_len, len(bundle.feature_order)))
+    batch = rng.random((LATENCY_BATCH, CONTEXT_LEN, N_FEATURES))
     for _ in range(LATENCY_WARMUP):
         runner.predict(batch)
     times = np.empty(LATENCY_REPS)
@@ -141,9 +144,9 @@ def write_metrics_csv(reports: list[MetricsReport], path) -> None:
                         lat_b, lat_s, r.n_test])
 
 
-def export_error_density(reports: list[MetricsReport], out_dir,
-                         bins: int = 40) -> dict[str, Path]:
-    """Per-class absolute-error histograms normalized to unit area.
+def export_error_density(reports: list[MetricsReport], out_dir) -> dict[str, Path]:
+    """Per-class absolute-error histograms of DENSITY_BINS bins, normalized
+    to unit area.
 
     Errors from all variants of a class are pooled; the dnn and linear
     families share one class. Each CSV row is bin_left,bin_right,density.
@@ -160,14 +163,14 @@ def export_error_density(reports: list[MetricsReport], out_dir,
     for cls, chunks in pooled.items():
         errs = np.concatenate(chunks)
         hi = max(float(errs.max()), 1e-9)
-        counts, edges = np.histogram(errs, bins=bins, range=(0.0, hi))
+        counts, edges = np.histogram(errs, bins=DENSITY_BINS, range=(0.0, hi))
         width = edges[1] - edges[0]
         density = counts / (counts.sum() * width)
         path = out / f"density_{cls}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["bin_left", "bin_right", "density"])
-            for i in range(bins):
+            for i in range(DENSITY_BINS):
                 w.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
                             repr(float(density[i]))])
         paths[cls] = path
@@ -199,9 +202,3 @@ class LatencyBudget:
     def margin_ms(self, horizon_s: float) -> float:
         """Lead time a forecast gives the operator before its window lands."""
         return horizon_s * 1000.0 - self.total_ms
-
-
-def latency_budget(inference_ms: float, capture_ms: float = 18.0,
-                   uplink_ms: float = 20.0, downlink_ms: float = 20.0,
-                   render_ms: float = 7.0) -> LatencyBudget:
-    return LatencyBudget(inference_ms, capture_ms, uplink_ms, downlink_ms, render_ms)

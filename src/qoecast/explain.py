@@ -1,10 +1,10 @@
 """Prediction explanations: integrated gradients, attention maps, and a
 local linear surrogate.
 
-All methods work on one scaled (5, 6) context. Attributions are reported
-per (window, feature) cell in prediction units; for integrated gradients
-the cells sum to the prediction difference against the baseline up to a
-reported completeness gap.
+All methods work on one scaled (5, 6) context and run the bundle through
+a zoo.BundleRunner. Attributions are reported per (window, feature) cell in
+prediction units; for integrated gradients the cells sum to the prediction
+difference against the baseline up to a reported completeness gap.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nncore as nc
-from .errors import NoAttentionComponent, NonDifferentiableModel, ShapeMismatch
-from .nncore import Tape, Tensor
-from .pipeline import FEATURE_NAMES
-from .zoo import ModelBundle, build_variant, params64
+from .errors import NoAttentionComponent, ShapeMismatch
+from .pipeline import CONTEXT_LEN, FEATURE_NAMES, N_FEATURES
+from .zoo import BundleRunner, ModelBundle
 
 IG_STEPS = 64
 LIME_SAMPLES = 500
@@ -26,9 +24,9 @@ LIME_KERNEL_WIDTH = 0.75
 LIME_RIDGE = 1e-3
 
 
-def _check_input(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
+def _check_input(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    expected = (bundle.context_len, len(bundle.feature_order))
+    expected = (CONTEXT_LEN, N_FEATURES)
     if x.shape != expected:
         raise ShapeMismatch(f"expected input shape {expected}, got {x.shape}")
     return x
@@ -69,38 +67,24 @@ def integrated_gradients(bundle: ModelBundle, x: np.ndarray,
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    x = _check_input(bundle, x)
-    baseline = (np.zeros_like(x) if baseline is None
-                else _check_input(bundle, baseline))
-    model = build_variant(bundle.variant_id)
-    params = params64(bundle)
+    x = _check_input(x)
+    baseline = np.zeros_like(x) if baseline is None else _check_input(baseline)
+    runner = BundleRunner(bundle)
     diff = x - baseline
 
-    both, _ = model.forward(params, Tensor(np.stack([x, baseline])), tape=None)
-    pred, base_pred = float(both.data[0]), float(both.data[1])
+    both, _ = runner.predict(np.stack([x, baseline]))
+    pred, base_pred = float(both[0]), float(both[1])
 
-    if model.model_class == "linear":
-        w = params["weights"].data.reshape(x.shape)
-        values = w * diff
-        gap = abs(float(values.sum()) - (pred - base_pred))
-        return Attribution(bundle.variant_id, "integrated_gradients_exact",
-                           values, pred, base_pred, gap, steps=1)
-
-    alphas = (np.arange(1, steps + 1) - 0.5) / steps
-    points = baseline[None, :, :] + alphas[:, None, None] * diff[None, :, :]
-    tape = Tape()
-    xt = Tensor(points)
-    out, _ = model.forward(params, xt, tape, train=False)
-    if out.data.ndim != 1:
-        raise NonDifferentiableModel(
-            f"{bundle.variant_id}: forward pass is not scalar per row")
-    total = nc.reduce_sum(tape, out)
-    nc.backward(tape, total)
-    avg_grad = xt.grad.mean(axis=0)
-    values = avg_grad * diff
+    if runner.model.model_class == "linear":
+        values = runner.params["weights"].data.reshape(x.shape) * diff
+        method, steps = "integrated_gradients_exact", 1
+    else:
+        alphas = (np.arange(1, steps + 1) - 0.5) / steps
+        points = baseline[None, :, :] + alphas[:, None, None] * diff[None, :, :]
+        values = runner.input_gradients(points).mean(axis=0) * diff
+        method = "integrated_gradients"
     gap = abs(float(values.sum()) - (pred - base_pred))
-    return Attribution(bundle.variant_id, "integrated_gradients",
-                       values, pred, base_pred, gap, steps=steps)
+    return Attribution(bundle.variant_id, method, values, pred, base_pred, gap, steps)
 
 
 @dataclass
@@ -118,14 +102,13 @@ class AttentionMap:
 
 
 def attention_map(bundle: ModelBundle, x: np.ndarray) -> AttentionMap:
-    x = _check_input(bundle, x)
-    model = build_variant(bundle.variant_id)
-    if not model.has_attention:
+    x = _check_input(x)
+    runner = BundleRunner(bundle)
+    if not runner.model.has_attention:
         raise NoAttentionComponent(
-            f"{bundle.variant_id} ({model.model_class}) has no attention weights")
-    pred, aux = model.forward(params64(bundle), Tensor(x[None]), tape=None)
-    weights = aux["attention"][0]
-    return AttentionMap(bundle.variant_id, weights, float(pred.data[0]))
+            f"{bundle.variant_id} ({runner.model.model_class}) has no attention weights")
+    pred, aux = runner.predict(x[None])
+    return AttentionMap(bundle.variant_id, aux["attention"][0], float(pred[0]))
 
 
 @dataclass
@@ -149,16 +132,13 @@ def lime_local(bundle: ModelBundle, x: np.ndarray, seed: int = 0) -> LocalSurrog
     distance d from x, with w = LIME_KERNEL_WIDTH. The surrogate is ridge
     regularized (LIME_RIDGE) and scored by weighted R^2.
     """
-    x = _check_input(bundle, x)
-    model = build_variant(bundle.variant_id)
-    params = params64(bundle)
+    x = _check_input(x)
     rng = np.random.default_rng(seed)
 
     flat = x.reshape(-1)
     d = flat.size
     Z = flat[None, :] + rng.normal(0.0, LIME_SIGMA, size=(LIME_SAMPLES, d))
-    preds, _ = model.forward(params, Tensor(Z.reshape(LIME_SAMPLES, *x.shape)), tape=None)
-    y = preds.data
+    y, _ = BundleRunner(bundle).predict(Z.reshape(LIME_SAMPLES, *x.shape))
 
     dist2 = np.sum((Z - flat[None, :]) ** 2, axis=1)
     weights = np.exp(-dist2 / (LIME_KERNEL_WIDTH ** 2))

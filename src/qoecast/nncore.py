@@ -260,14 +260,14 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
     return out
 
 
-def elu(tape: Tape | None, x: Tensor, alpha: float = ELU_ALPHA) -> Tensor:
+def elu(tape: Tape | None, x: Tensor) -> Tensor:
     pos = x.data > 0
-    expm = alpha * np.expm1(np.minimum(x.data, 0.0))
+    expm = ELU_ALPHA * np.expm1(np.minimum(x.data, 0.0))
     y = np.where(pos, x.data, expm)
     out = Tensor(y)
     if tape is not None:
         def _back():
-            _accum(x, out.grad * np.where(pos, 1.0, expm + alpha))
+            _accum(x, out.grad * np.where(pos, 1.0, expm + ELU_ALPHA))
         tape.record(_back)
     return out
 

@@ -15,7 +15,6 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSequences,
     TraceTooShort,
+    malformed,
 )
 from .synthgen import window_qoe
 from .telemetry import DEFAULT_WINDOW_S, MIN_WINDOW_COVERAGE, Trace, WindowAggregator
@@ -213,21 +213,18 @@ class DatasetSplit:
 @dataclass
 class PreparedDataset:
     """Everything a model needs: the split, the scaler it was scaled with,
-    and the windowing geometry. Only the window length varies; the context,
-    horizon and feature order are the module's fixed protocol."""
+    and the window length. The context, horizon and feature order are the
+    module's fixed protocol."""
 
     split: DatasetSplit
     scaler: ScalerStats
     window_s: int = DEFAULT_WINDOW_S
     dropped_windows: list[tuple[str, int, str]] = field(default_factory=list)
-    context_len: ClassVar[int] = CONTEXT_LEN
-    horizon: ClassVar[int] = HORIZON
-    feature_order: ClassVar[tuple[str, ...]] = FEATURE_NAMES
 
     def arrays(self, part: str) -> tuple[np.ndarray, np.ndarray]:
         seqs = getattr(self.split, part)
         if not seqs:
-            return (np.zeros((0, self.context_len, N_FEATURES)), np.zeros((0,)))
+            return (np.zeros((0, CONTEXT_LEN, N_FEATURES)), np.zeros((0,)))
         X = np.stack([s.inputs for s in seqs])
         y = np.array([s.target for s in seqs], dtype=np.float64)
         return X, y
@@ -336,9 +333,9 @@ def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
         json.dumps(ds.scaler.to_dict(), indent=2) + "\n", encoding="utf-8")
     (out / "dataset.json").write_text(json.dumps({
         "window_s": ds.window_s,
-        "context_len": ds.context_len,
-        "horizon": ds.horizon,
-        "feature_order": list(ds.feature_order),
+        "context_len": CONTEXT_LEN,
+        "horizon": HORIZON,
+        "feature_order": list(FEATURE_NAMES),
         "counts": {p: len(getattr(ds.split, p)) for p in ("train", "val", "test")},
         "train_end_ts_ms": ds.split.train_end_ts_ms,
         "val_end_ts_ms": ds.split.val_end_ts_ms,
@@ -349,39 +346,54 @@ def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
 def load_dataset(in_dir: str | Path) -> PreparedDataset:
     """Read a dataset written by save_dataset. A geometry other than the
     fixed protocol raises ShapeMismatch naming the field, before any model
-    sees the data."""
+    sees the data; so does a missing key or a value of the wrong JSON type,
+    naming the file and, in a split, the line."""
     src = Path(in_dir)
-    meta = json.loads((src / "dataset.json").read_text(encoding="utf-8"))
+    meta_path, scaler_path = src / "dataset.json", src / "scaler.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     fixed = {"context_len": CONTEXT_LEN, "horizon": HORIZON,
              "feature_order": list(FEATURE_NAMES)}
-    for key, want in fixed.items():
-        if meta.get(key) != want:
-            raise ShapeMismatch(f"{src / 'dataset.json'}: {key} is {meta.get(key)!r}, "
-                                f"the model zoo takes {want!r}")
-    scaler = ScalerStats.from_dict(json.loads((src / "scaler.json").read_text(encoding="utf-8")))
+    try:
+        for key, want in fixed.items():
+            if meta[key] != want:
+                raise ShapeMismatch(f"{meta_path}: {key} is {meta[key]!r}, "
+                                    f"the model zoo takes {want!r}")
+        window_s = int(meta["window_s"])
+        train_end, val_end = int(meta["train_end_ts_ms"]), int(meta["val_end_ts_ms"])
+        dropped = [tuple(d) for d in meta.get("dropped_windows", [])]
+    except (KeyError, TypeError) as exc:
+        raise malformed(meta_path, exc) from None
+    try:
+        scaler = ScalerStats.from_dict(json.loads(scaler_path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError) as exc:
+        raise malformed(scaler_path, exc) from None
     parts = {}
     for part in ("train", "val", "test"):
+        path = src / f"{part}.ndjson"
         seqs = []
-        with (src / f"{part}.ndjson").open(encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                d = json.loads(line)
-                seqs.append(SequenceSample(
-                    inputs=np.asarray(d["inputs"], dtype=np.float64),
-                    target=float(d["target"]),
-                    origin=(d["origin"][0], int(d["origin"][1])),
-                    target_ts_ms=int(d["target_ts_ms"]),
-                ))
+        with path.open(encoding="utf-8") as fh:
+            try:
+                for line_no, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    d = json.loads(line)
+                    seqs.append(SequenceSample(
+                        inputs=np.asarray(d["inputs"], dtype=np.float64),
+                        target=float(d["target"]),
+                        origin=(d["origin"][0], int(d["origin"][1])),
+                        target_ts_ms=int(d["target_ts_ms"]),
+                    ))
+            except (KeyError, TypeError) as exc:
+                raise malformed(f"{path} line {line_no}", exc) from None
         parts[part] = seqs
     split = DatasetSplit(
         train=parts["train"], val=parts["val"], test=parts["test"],
-        train_end_ts_ms=int(meta["train_end_ts_ms"]),
-        val_end_ts_ms=int(meta["val_end_ts_ms"]),
+        train_end_ts_ms=train_end,
+        val_end_ts_ms=val_end,
     )
     return PreparedDataset(
         split=split,
         scaler=scaler,
-        window_s=int(meta["window_s"]),
-        dropped_windows=[tuple(d) for d in meta.get("dropped_windows", [])],
+        window_s=window_s,
+        dropped_windows=dropped,
     )

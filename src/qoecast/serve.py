@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OutOfOrderSample, QoecastError, ScalerMissing
 from .explain import integrated_gradients
-from .pipeline import inverse_target, scale_features
+from .pipeline import CONTEXT_LEN, inverse_target, scale_features
 from .synthgen import window_qoe
 from .telemetry import (TelemetrySample, Window, WindowAggregator, _parse_record,
                         decode_json_line)
@@ -130,9 +130,8 @@ class StreamState:
         self.tick_s = tick_s
         self.runner = BundleRunner(bundle)
         self.window_ms = bundle.window_s * 1000
-        self.context_len = bundle.context_len
         self._windows = WindowAggregator(bundle.window_s, tick_s)
-        self._ring: deque[np.ndarray] = deque(maxlen=bundle.context_len)
+        self._ring: deque[np.ndarray] = deque(maxlen=CONTEXT_LEN)
         self._last_ts: int | None = None
         self._prev_window_qoe: float | None = None
         self.last_prediction: float | None = None
@@ -174,7 +173,7 @@ class StreamState:
         self._prev_window_qoe = qoe
         self._ring.append(np.array((*win.link, qoe), dtype=np.float64))
         self.stats.windows += 1
-        if len(self._ring) < self.context_len:
+        if len(self._ring) < CONTEXT_LEN:
             return None
         return self._forecast(win.index)
 

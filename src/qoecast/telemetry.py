@@ -71,13 +71,22 @@ class Trace:
             raise EmptyTrace("trace has no samples")
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
+        isfinite = math.isfinite
         prev = None
         for s in self.samples:
-            if prev is not None and s.ts_ms <= prev:
+            ts, thr, jitter, loss, count, speed, qoe = s
+            if prev is not None and ts <= prev:
                 raise NonMonotonicTimestamp(
-                    f"ts_ms {s.ts_ms} follows {prev}; timestamps must strictly increase"
+                    f"ts_ms {ts} follows {prev}; timestamps must strictly increase"
                 )
-            prev = s.ts_ms
+            prev = ts
+            # a non-finite value would be written, then fail to load
+            if not (isfinite(thr) and isfinite(jitter) and isfinite(loss)
+                    and isfinite(count) and isfinite(speed)
+                    and (qoe is None or isfinite(qoe))):
+                name, value = next((k, v) for k, v in zip(s._fields[1:], s[1:])
+                                   if v is not None and not isfinite(v))
+                raise ValueError(f"sample at ts_ms {ts}: {name} is {value!r}, not finite")
         if self.labels is not None:
             for idx, q in self.labels:
                 if not (0.0 <= q <= 100.0):

@@ -275,7 +275,6 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
     bundle = ModelBundle(
         variant_id=model.variant_id,
         window_s=dataset.window_s,
-        context_len=dataset.context_len,
         scaler=dataset.scaler,
         params={k: p.data.astype(np.float32) for k, p in params.items()},
         meta={
@@ -284,7 +283,6 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
             "train_loss": float(best_train),
             "val_loss": float(best_val),
         },
-        feature_order=dataset.feature_order,
     )
     return bundle, history
 
@@ -448,13 +446,11 @@ def fit_linear(variant_id: str, dataset: PreparedDataset,
     bundle = ModelBundle(
         variant_id=variant_id,
         window_s=dataset.window_s,
-        context_len=dataset.context_len,
         scaler=dataset.scaler,
         params={"weights": w.reshape(-1, 1).astype(np.float32),
                 "bias": np.array([b], dtype=np.float32)},
         meta={"seed": config.seed, "epochs": iterations,
               "train_loss": train_loss, "val_loss": val_loss},
-        feature_order=dataset.feature_order,
     )
     history = TrainHistory(records=[EpochRecord(1, train_loss, val_loss,
                                                 0.0, 0.0)], best_epoch=1)

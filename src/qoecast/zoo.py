@@ -9,20 +9,23 @@ the prediction.
 
 Trained weights travel as a ModelBundle: a JSON document holding the
 architecture id, the windowing geometry, the scaler, 32-bit parameters and
-a CRC-32 over their canonical serialization.
+a CRC-32 over their canonical serialization. BundleRunner is the one way
+to run a bundle.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from . import nncore as nc
-from .errors import ChecksumMismatch, ShapeMismatch, UnknownVariant, VersionMismatch
+from .errors import (ChecksumMismatch, ShapeMismatch, UnknownVariant, VersionMismatch,
+                     malformed)
 from .nncore import ParamSpec, Tape, Tensor
 from .pipeline import CONTEXT_LEN, FEATURE_NAMES, N_FEATURES, QOE_FEATURE, ScalerStats
 
@@ -48,8 +51,6 @@ class ForecastModel:
     variant_id: str
     model_class: str
     has_attention: bool = False
-    context_len: int = CONTEXT_LEN
-    n_features: int = N_FEATURES
 
     def __init__(self, variant_id: str):
         self.variant_id = variant_id
@@ -65,10 +66,10 @@ class ForecastModel:
         return int(sum(int(np.prod(s.shape)) for s in self.param_specs))
 
     def _check_input(self, x: Tensor) -> None:
-        if x.data.ndim != 3 or x.data.shape[1:] != (self.context_len, self.n_features):
+        if x.data.ndim != 3 or x.data.shape[1:] != (CONTEXT_LEN, N_FEATURES):
             raise ShapeMismatch(
-                f"{self.variant_id}: expected (batch, {self.context_len}, "
-                f"{self.n_features}) input, got {x.data.shape}")
+                f"{self.variant_id}: expected (batch, {CONTEXT_LEN}, "
+                f"{N_FEATURES}) input, got {x.data.shape}")
 
     def forward(self, params: Mapping[str, Tensor], x: Tensor, tape: Tape | None = None,
                 train: bool = False, rng: np.random.Generator | None = None):
@@ -101,7 +102,7 @@ class RecurrentModel(ForecastModel):
 
     def _build_specs(self) -> list[ParamSpec]:
         specs: list[ParamSpec] = []
-        d_in = self.n_features
+        d_in = N_FEATURES
         bias_init = "zeros" if self.cell == "gru" else "lstm_bias"
         for li, units in enumerate(self.layer_units):
             g = self._gates
@@ -167,19 +168,16 @@ class TransformerModel(ForecastModel):
     has_attention = True
 
     def __init__(self, variant_id: str, heads: int = 2, ff_dim: int = 64,
-                 dropout_rate: float = 0.10, d_model: int = D_MODEL):
-        if d_model % heads != 0:
-            raise ShapeMismatch(f"d_model {d_model} not divisible by {heads} heads")
+                 dropout_rate: float = 0.10):
         self.heads = heads
         self.ff_dim = ff_dim
         self.dropout_rate = dropout_rate
-        self.d_model = d_model
-        self._pe = sinusoidal_positions(CONTEXT_LEN, d_model)
+        self._pe = sinusoidal_positions(CONTEXT_LEN, D_MODEL)
         super().__init__(variant_id)
 
     def _build_specs(self) -> list[ParamSpec]:
-        d = self.d_model
-        specs = _dense_specs("embed", self.n_features, d)
+        d = D_MODEL
+        specs = _dense_specs("embed", N_FEATURES, d)
         for name in ("wq", "wk", "wv", "wo"):
             specs.extend(_dense_specs(name, d, d))
         specs.append(ParamSpec("ln1_gamma", (d,), "ones"))
@@ -218,7 +216,7 @@ class DnnModel(ForecastModel):
 
     def _build_specs(self) -> list[ParamSpec]:
         specs: list[ParamSpec] = []
-        d_in = self.context_len * self.n_features
+        d_in = CONTEXT_LEN * N_FEATURES
         for i, width in enumerate(self.hidden):
             specs.extend(_dense_specs(f"dense{i}", d_in, width))
             d_in = width
@@ -229,7 +227,7 @@ class DnnModel(ForecastModel):
         self._check_input(x)
         B = x.data.shape[0]
         act = nc.relu if self.activation == "relu" else nc.elu
-        h = nc.reshape(tape, x, (B, self.context_len * self.n_features))
+        h = nc.reshape(tape, x, (B, CONTEXT_LEN * N_FEATURES))
         for i in range(len(self.hidden)):
             h = act(tape, _dense(tape, params, f"dense{i}", h))
             h = nc.dropout(tape, h, self.dropout_rate, train, rng)
@@ -249,14 +247,14 @@ class LinearModel(ForecastModel):
         super().__init__(variant_id)
 
     def _build_specs(self) -> list[ParamSpec]:
-        d_in = self.context_len * self.n_features
+        d_in = CONTEXT_LEN * N_FEATURES
         return [ParamSpec("weights", (d_in, 1), "glorot"),
                 ParamSpec("bias", (1,), "zeros")]
 
     def forward(self, params, x, tape=None, train=False, rng=None):
         self._check_input(x)
         B = x.data.shape[0]
-        flat = nc.reshape(tape, x, (B, self.context_len * self.n_features))
+        flat = nc.reshape(tape, x, (B, CONTEXT_LEN * N_FEATURES))
         out = nc.add(tape, nc.matmul(tape, flat, params["weights"]), params["bias"])
         return nc.reshape(tape, out, (B,)), {}
 
@@ -314,17 +312,16 @@ def last_value_baseline(batch: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModelBundle:
-    """Portable trained model: weights at 32-bit plus everything needed to
-    reproduce its inputs (scaler, geometry, feature order)."""
+    """Portable trained model: weights at 32-bit plus the window length and
+    scaler its inputs need. The context length, feature order and format
+    version are the protocol's constants, which serialize writes and
+    deserialize checks."""
 
     variant_id: str
     window_s: int
-    context_len: int
     scaler: ScalerStats
     params: dict[str, np.ndarray]  # float32, model spec order
     meta: dict
-    feature_order: tuple[str, ...] = FEATURE_NAMES
-    format_version: int = BUNDLE_FORMAT_VERSION
 
 
 def params_checksum(params: Mapping[str, np.ndarray]) -> int:
@@ -346,11 +343,11 @@ def serialize(bundle: ModelBundle) -> str:
     float32 precision; deserialize(serialize(b)) restores them bit-exactly."""
     params32 = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in bundle.params.items()}
     doc = {
-        "format_version": bundle.format_version,
+        "format_version": BUNDLE_FORMAT_VERSION,
         "variant_id": bundle.variant_id,
         "window_s": bundle.window_s,
-        "context_len": bundle.context_len,
-        "feature_order": list(bundle.feature_order),
+        "context_len": CONTEXT_LEN,
+        "feature_order": list(FEATURE_NAMES),
         "scaler": bundle.scaler.to_dict(),
         "params": [
             {
@@ -373,78 +370,94 @@ def deserialize(text: str) -> ModelBundle:
     CRC-32 of the params section, declared shapes against value counts, and
     both against the architecture's own parameter spec. A context_len or
     feature_order other than the protocol's raises ShapeMismatch naming the
-    field, as load_dataset does.
+    field, as load_dataset does; so does a missing key or a value of the
+    wrong JSON type.
     """
+    return _parse_bundle(text, "bundle")
+
+
+def _parse_bundle(text: str, source) -> ModelBundle:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"{source}: not a JSON object")
     version = doc.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionMismatch(
-            f"bundle format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
+            f"{source}: format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
     for key, want in (("context_len", CONTEXT_LEN), ("feature_order", list(FEATURE_NAMES))):
         if doc.get(key) != want:
-            raise ShapeMismatch(f"bundle {key} is {doc.get(key)!r}, the model zoo takes {want!r}")
-    variant_id = doc["variant_id"]
-    model = build_variant(variant_id)  # raises UnknownVariant
+            raise ShapeMismatch(f"{source}: {key} is {doc.get(key)!r}, "
+                                f"the model zoo takes {want!r}")
+    try:
+        variant_id = doc["variant_id"]
+        model = build_variant(variant_id)  # raises UnknownVariant
 
-    params: dict[str, np.ndarray] = {}
-    for entry in doc["params"]:
-        shape = tuple(int(d) for d in entry["shape"])
-        values = np.asarray(entry["values"], dtype=np.float32)
-        if values.size != int(np.prod(shape)):
+        params: dict[str, np.ndarray] = {}
+        for entry in doc["params"]:
+            shape = tuple(int(d) for d in entry["shape"])
+            values = np.asarray(entry["values"], dtype=np.float32)
+            if values.size != int(np.prod(shape)):
+                raise ShapeMismatch(
+                    f"{source}: param {entry['name']!r}: {values.size} values "
+                    f"for shape {shape}")
+            params[entry["name"]] = values.reshape(shape)
+
+        expected = {s.name: s.shape for s in model.param_specs}
+        if list(params) != list(expected):
             raise ShapeMismatch(
-                f"param {entry['name']!r}: {values.size} values for shape {shape}")
-        params[entry["name"]] = values.reshape(shape)
+                f"{source}: params {list(params)} do not match {variant_id} "
+                f"spec {list(expected)}")
+        for name, shape in expected.items():
+            if params[name].shape != shape:
+                raise ShapeMismatch(
+                    f"{source}: param {name!r} has shape {params[name].shape}, "
+                    f"spec {shape}")
 
-    expected = {s.name: s.shape for s in model.param_specs}
-    if list(params) != list(expected):
-        raise ShapeMismatch(
-            f"bundle params {list(params)} do not match {variant_id} spec {list(expected)}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise ShapeMismatch(
-                f"param {name!r}: bundle shape {params[name].shape}, spec {shape}")
+        stored = doc.get("checksum")
+        actual = params_checksum(params)
+        if stored != actual:
+            raise ChecksumMismatch(f"{source}: params checksum {actual} != stored {stored}")
 
-    stored = doc.get("checksum")
-    actual = params_checksum(params)
-    if stored != actual:
-        raise ChecksumMismatch(f"params checksum {actual} != stored {stored}")
-
-    return ModelBundle(
-        variant_id=variant_id,
-        window_s=int(doc["window_s"]),
-        context_len=int(doc["context_len"]),
-        scaler=ScalerStats.from_dict(doc["scaler"]),
-        params=params,
-        meta=doc.get("meta", {}),
-        feature_order=tuple(doc["feature_order"]),
-        format_version=version,
-    )
+        return ModelBundle(
+            variant_id=variant_id,
+            window_s=int(doc["window_s"]),
+            scaler=ScalerStats.from_dict(doc["scaler"]),
+            params=params,
+            meta=doc.get("meta", {}),
+        )
+    except (KeyError, TypeError) as exc:
+        raise malformed(source, exc) from None
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    from pathlib import Path
     Path(path).write_text(serialize(bundle) + "\n", encoding="utf-8")
 
 
 def load_bundle(path) -> ModelBundle:
-    from pathlib import Path
-    return deserialize(Path(path).read_text(encoding="utf-8"))
-
-
-def params64(bundle: ModelBundle) -> dict[str, Tensor]:
-    """The bundle's stored weights widened to float64 tensors."""
-    return {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in bundle.params.items()}
+    """Read a bundle file with deserialize's checks; their errors name the
+    file where deserialize's say "bundle"."""
+    return _parse_bundle(Path(path).read_text(encoding="utf-8"), path)
 
 
 class BundleRunner:
-    """Inference wrapper: widens bundle weights to float64 once and serves
-    batched predictions."""
+    """The one inference path for a bundle: builds its variant and widens
+    the stored float32 weights to float64 once, then runs forward passes."""
 
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.model = build_variant(bundle.variant_id)
-        self._params = params64(bundle)
+        self.params = {k: Tensor(np.asarray(v, dtype=np.float64))
+                       for k, v in bundle.params.items()}
 
     def predict(self, batch: np.ndarray) -> tuple[np.ndarray, dict]:
-        pred, aux = self.model.forward(self._params, Tensor(batch), tape=None, train=False)
+        pred, aux = self.model.forward(self.params, Tensor(batch), tape=None, train=False)
         return pred.data.copy(), aux
+
+    def input_gradients(self, batch: np.ndarray) -> np.ndarray:
+        """Gradient of each row's prediction with respect to that row's
+        input, shaped like the batch."""
+        tape = Tape()
+        x = Tensor(batch)
+        pred, _ = self.model.forward(self.params, x, tape, train=False)
+        nc.backward(tape, nc.reduce_sum(tape, pred))
+        return x.grad

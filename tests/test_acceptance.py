@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qoecast.cli import main
-from qoecast.evaluation import benchmark_latency, evaluate, evaluate_baseline, latency_budget
+from qoecast.evaluation import LatencyBudget, benchmark_latency, evaluate, evaluate_baseline
 from qoecast.explain import integrated_gradients
 from qoecast.nncore import Tape, gradient_check, reduce_sum
 from qoecast.pipeline import (
@@ -60,7 +60,7 @@ def _init_bundle(vid: str, scaler, seed: int = 0) -> ModelBundle:
     model = build_variant(vid)
     params = {k: np.asarray(v, dtype=np.float32)
               for k, v in model.init_params(seed).items()}
-    return ModelBundle(variant_id=vid, window_s=10, context_len=5,
+    return ModelBundle(variant_id=vid, window_s=10,
                        scaler=scaler, params=params, meta={})
 
 
@@ -317,12 +317,12 @@ def test_criterion_08_explainability(small_dataset, linear_bundle):
 
 def test_criterion_09_latency_protocol(gru_bundle):
     stats = benchmark_latency(gru_bundle, seed=0)
-    budget = latency_budget(66.0, 18.0, 20.0, 20.0, 7.0)
+    budget = LatencyBudget(66.0, 18.0, 20.0, 20.0, 7.0)
     ok = (stats.batch_size == 16 and stats.mean_ms <= 10.0
           and budget.total_ms == 131.0)
     _report(9, ok,
             f"gru_basic batch-16 mean {stats.mean_ms:.3f} ms (bound 10 ms, "
-            f"{stats.reps} reps); latency_budget(66,18,20,20,7) = "
+            f"{stats.reps} reps); LatencyBudget(66,18,20,20,7) = "
             f"{budget.total_ms} ms (exactly 131)")
 
 

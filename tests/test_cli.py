@@ -77,17 +77,6 @@ class TestPipelineFlow:
         assert gru.meta["seed"] == derive_seed(0, "variant:gru_basic")
         assert gru.meta["epochs"] == 2
 
-    def test_evaluate_writes_ranked_metrics(self, flow, capsys):
-        assert main(["evaluate", "--data", str(flow / "ds"),
-                     "--run", str(flow / "run")]) == 0
-        out = capsys.readouterr().out
-        assert "rmse=" in out and "lin_basic" in out and "gru_basic" in out
-        with (flow / "run" / "metrics.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert [set(r["variant_id"] for r in rows)] == [{"lin_basic", "gru_basic"}]
-        rmses = [float(r["rmse"]) for r in rows]
-        assert rmses == sorted(rmses)
-
     def test_benchmark_rankings_and_densities(self, flow, capsys):
         assert main(["benchmark", "--data", str(flow / "ds"),
                      "--run", str(flow / "run")]) == 0
@@ -102,9 +91,12 @@ class TestPipelineFlow:
         assert all(float(r[4]) > 0 for r in rows)
         with (run / "metrics.csv").open() as fh:
             mrows = list(csv.DictReader(fh))
-        baseline = [r for r in mrows if r["variant_id"] == "last_value"]
-        assert len(baseline) == 1
-        assert baseline[0]["latency_ms_batch16"] == ""
+        # the ranked variants, then the baseline without latency
+        assert [r["variant_id"] for r in mrows] == [r[1] for r in rows] + ["last_value"]
+        rmses = [float(r["rmse"]) for r in mrows[:-1]]
+        assert rmses == sorted(rmses)
+        assert all(float(r["latency_ms_batch16"]) > 0 for r in mrows[:-1])
+        assert mrows[-1]["latency_ms_batch16"] == ""
         for cls in ("gru", "linear_dnn"):
             dens = (run / f"density_{cls}.csv").read_text().splitlines()
             assert dens[0] == "bin_left,bin_right,density"
@@ -277,11 +269,62 @@ class TestExitCodes:
         assert "ShapeMismatch" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_evaluate_without_bundles_is_data_error(self, flow, tmp_path):
+    def test_benchmark_without_bundles_is_data_error(self, flow, tmp_path):
         empty = tmp_path / "norun"
         empty.mkdir()
-        assert main(["evaluate", "--data", str(flow / "ds"),
+        assert main(["benchmark", "--data", str(flow / "ds"),
                      "--run", str(empty)]) == 2
+
+    def test_evaluate_command_is_gone(self, flow, capsys):
+        # benchmark writes metrics.csv; a second writer could contradict it
+        assert main(["evaluate", "--data", str(flow / "ds"),
+                     "--run", str(flow / "run")]) == 1
+        assert "invalid choice: 'evaluate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "no scaler", "no params", "no variant_id", "no window_s",
+        "param without shape", "scaler without maxs", "array"])
+    def test_malformed_bundle_is_data_error(self, flow, tmp_path, capsys, case):
+        doc = json.loads((flow / "run" / "lin_basic.bundle.json").read_text())
+        key = case.split()[-1]
+        if case.startswith("no "):
+            del doc[key]
+        elif case == "param without shape":
+            del doc["params"][0]["shape"]
+        elif case == "scaler without maxs":
+            del doc["scaler"]["maxs"]
+        else:
+            doc = [doc]
+        path = tmp_path / "bad.bundle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["serve", "--bundle", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ShapeMismatch: {path}: " in err
+        assert "not a JSON object" in err if case == "array" else f"'{key}'" in err
+
+    @pytest.mark.parametrize("case", [
+        "dataset.json without train_end_ts_ms", "empty scaler.json",
+        "test row without target"])
+    def test_malformed_dataset_is_data_error(self, flow, tmp_path, capsys, case):
+        ds = tmp_path / "ds"
+        shutil.copytree(flow / "ds", ds)
+        if case.startswith("dataset.json"):
+            meta = json.loads((ds / "dataset.json").read_text())
+            del meta["train_end_ts_ms"]
+            (ds / "dataset.json").write_text(json.dumps(meta))
+            where, key = ds / "dataset.json", "train_end_ts_ms"
+        elif case == "empty scaler.json":
+            (ds / "scaler.json").write_text("{}")
+            where, key = ds / "scaler.json", "mins"
+        else:
+            rows = (ds / "test.ndjson").read_text().splitlines()
+            row = json.loads(rows[2])
+            del row["target"]
+            rows[2] = json.dumps(row)
+            (ds / "test.ndjson").write_text("\n".join(rows) + "\n")
+            where, key = f"{ds / 'test.ndjson'} line 3", "target"
+        assert main(["benchmark", "--data", str(ds), "--run", str(flow / "run")]) == 2
+        assert f"ShapeMismatch: {where}: no '{key}' key" in capsys.readouterr().err
 
     def test_missing_dataset_directory(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),
@@ -307,7 +350,6 @@ CLI_OPTIONS = {
                  "--inband-qoe", "--out"],
     "prepare": ["--data", "--window-s", "--out"],
     "train": ["--data", "--variant", "--all", "--seed", "--max-epochs", "--out"],
-    "evaluate": ["--data", "--run"],
     "benchmark": ["--data", "--run", "--seed"],
     "explain": ["--bundle", "--data", "--part", "--index", "--method", "--steps",
                 "--seed", "--out"],
@@ -323,7 +365,7 @@ def test_cli_surface_is_pinned():
                       if s not in ("-h", "--help")]
                for name, p in sub.choices.items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 37
+    assert sum(map(len, options.values())) == 35
 
 
 def test_readme_quick_start_parses():

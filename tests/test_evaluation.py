@@ -5,6 +5,7 @@ import pytest
 
 from qoecast.errors import EmptySplit, ScalerMismatch
 from qoecast.evaluation import (
+    DENSITY_BINS,
     DENSITY_CLASS,
     LatencyBudget,
     LatencyStats,
@@ -13,7 +14,6 @@ from qoecast.evaluation import (
     evaluate,
     evaluate_baseline,
     export_error_density,
-    latency_budget,
     rank_variants,
     write_metrics_csv,
 )
@@ -26,7 +26,7 @@ def _linear_probe_bundle(ds, weights=None, bias=0.0):
     if weights is not None:
         w[:, 0] = weights
     return ModelBundle(
-        variant_id="lin_basic", window_s=ds.window_s, context_len=ds.context_len,
+        variant_id="lin_basic", window_s=ds.window_s,
         scaler=ds.scaler, params={"weights": w,
                                   "bias": np.array([bias], dtype=np.float32)},
         meta={})
@@ -112,20 +112,18 @@ class TestLatency:
         assert stats.per_sample_ms == pytest.approx(stats.mean_ms / 16)
 
     def test_budget_totals(self):
-        budget = latency_budget(66.0, 18.0, 20.0, 20.0, 7.0)
+        budget = LatencyBudget(66.0, 18.0, 20.0, 20.0, 7.0)
         assert budget.total_ms == 131.0
         assert budget.margin_ms(10.0) == pytest.approx(10000.0 - 131.0)
 
     def test_budget_defaults(self):
-        assert latency_budget(5.0).total_ms == pytest.approx(70.0)
+        assert LatencyBudget(5.0).total_ms == pytest.approx(70.0)
 
     def test_budget_rejects_negative(self):
         with pytest.raises(ValueError):
-            latency_budget(-1.0)
-        with pytest.raises(ValueError):
-            latency_budget(5.0, capture_ms=-0.1)
-        with pytest.raises(ValueError):
             LatencyBudget(-1.0)
+        with pytest.raises(ValueError):
+            LatencyBudget(5.0, capture_ms=-0.1)
         with pytest.raises(ValueError):
             LatencyBudget(5.0, render_ms=-0.1)
 
@@ -176,14 +174,14 @@ class TestErrorDensity:
             _report("lin_basic", "linear", 2.4, 1.9, errs=np.abs(rng.normal(0, 2, 200))),
             _report("last_value", "baseline", 3.0, 2.5),
         ]
-        paths = export_error_density(reps, tmp_path, bins=30)
+        paths = export_error_density(reps, tmp_path)
         # dnn and linear pool into one file; the baseline exports nothing
         assert set(paths) == {"gru", "lstm", "transformer", "linear_dnn"}
         for cls, path in paths.items():
             assert path.name == f"density_{cls}.csv"
             with path.open(newline="", encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
-            assert len(rows) == 30
+            assert len(rows) == DENSITY_BINS == 40
             area = sum((float(r["bin_right"]) - float(r["bin_left"]))
                        * float(r["density"]) for r in rows)
             assert area == pytest.approx(1.0, abs=1e-9)

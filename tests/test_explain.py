@@ -22,7 +22,7 @@ def _init_bundle(vid, small_dataset, seed=0):
     model = build_variant(vid)
     params = {k: np.asarray(v, dtype=np.float32)
               for k, v in model.init_params(seed).items()}
-    return ModelBundle(variant_id=vid, window_s=10, context_len=5,
+    return ModelBundle(variant_id=vid, window_s=10,
                        scaler=small_dataset.scaler, params=params, meta={})
 
 

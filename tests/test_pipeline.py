@@ -11,7 +11,9 @@ from qoecast.errors import (
     TraceTooShort,
 )
 from qoecast.pipeline import (
+    CONTEXT_LEN,
     FEATURE_NAMES,
+    HORIZON,
     QOE_FEATURE,
     ScalerStats,
     build_dataset,
@@ -306,7 +308,7 @@ class TestBuildDataset:
 
     def test_window_length_override(self):
         ds = build_dataset([_ramp_trace()], window_s=5)
-        assert ds.window_s == 5 and ds.context_len == 5
+        assert ds.window_s == 5
         X, _ = ds.arrays("train")
         assert X.shape == (int(115 * 0.7), 5, 6)  # 120 windows, 115 sequences
 
@@ -340,8 +342,9 @@ class TestDatasetIO:
         back = load_dataset(tmp_path)
         assert scaler_fingerprint(back.scaler) == scaler_fingerprint(small_dataset.scaler)
         assert back.window_s == small_dataset.window_s
-        assert back.context_len == small_dataset.context_len
-        assert back.feature_order == FEATURE_NAMES
+        meta = json.loads((tmp_path / "dataset.json").read_text())
+        assert (meta["context_len"], meta["horizon"]) == (CONTEXT_LEN, HORIZON)
+        assert meta["feature_order"] == list(FEATURE_NAMES)
         for part in ("train", "val", "test"):
             a, b = getattr(small_dataset.split, part), getattr(back.split, part)
             assert len(a) == len(b)

@@ -37,7 +37,7 @@ def _lv_bundle():
     """Linear bundle that predicts the last window's QoE unchanged."""
     w = np.zeros((30, 1), dtype=np.float32)
     w[29, 0] = 1.0
-    return ModelBundle(variant_id="lin_basic", window_s=10, context_len=5,
+    return ModelBundle(variant_id="lin_basic", window_s=10,
                        scaler=_scaler(),
                        params={"weights": w, "bias": np.zeros(1, dtype=np.float32)},
                        meta={})

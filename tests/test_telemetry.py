@@ -51,6 +51,13 @@ class TestTraceType:
         with pytest.raises(ValueError):
             _trace(labels=((0, 101.0),))
 
+    @pytest.mark.parametrize("field", [*FIELD_NAMES[1:], "qoe"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sample_rejected(self, field, value):
+        # write_trace would write it and load_trace then reject the file
+        with pytest.raises(ValueError, match=f"ts_ms 1000: {field} is {value!r}"):
+            Trace(samples=(_sample(0), _sample(1, **{field: value})))
+
     def test_label_map(self):
         tr = _trace(labels=((0, 50.0), (1, 60.0)))
         assert tr.label_map() == {0: 50.0, 1: 60.0}

@@ -475,15 +475,21 @@ class TestRunAll:
             name = f"{vid}.history.csv"
             assert _sans_seconds(out / name) == _sans_seconds(ref / name), vid
 
-    def test_manifest_records_workers_and_fit_times(self, small_dataset, tmp_path):
-        save_dataset(small_dataset, tmp_path / "ds")
-        manifests = {}
+    @pytest.fixture(scope="class")
+    def cli_runs(self, small_dataset, tmp_path_factory):
+        """`train --all` and `train --variant dnn_basic`, one epoch each."""
+        root = tmp_path_factory.mktemp("train_cli")
+        save_dataset(small_dataset, root / "ds")
         for name, mode in (("all", ["--all"]), ("one", ["--variant", "dnn_basic"])):
-            out = tmp_path / name
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["train", "--data", str(tmp_path / "ds"), *mode,
-                             "--max-epochs", "1", "--out", str(out)]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
+                assert main(["train", "--data", str(root / "ds"), *mode,
+                             "--max-epochs", "1", "--out", str(root / name)]) == 0
+        return root
+
+    def test_manifest_records_workers_and_fit_times(self, cli_runs):
+        manifests = {}
+        for name in ("all", "one"):
+            manifest = json.loads((cli_runs / name / "manifest.json").read_text())
             assert manifest["wall_s"] > 0.0
             for rec in manifest["variants"]:
                 assert rec["status"] == "ok"
@@ -496,8 +502,17 @@ class TestRunAll:
         assert [r["variant_id"] for r in one["variants"]] == ["dnn_basic"]
         assert "workers" not in one
         # wall-clock values stay out of summary.csv
-        with (tmp_path / "all" / "summary.csv").open(newline="", encoding="utf-8") as fh:
+        with (cli_runs / "all" / "summary.csv").open(newline="", encoding="utf-8") as fh:
             assert "fit_s" not in next(csv.reader(fh))
+
+    @pytest.mark.parametrize("mode", ["all", "one"])
+    def test_manifest_lists_every_file_written(self, cli_runs, mode):
+        # `--all` used to leave out the 18 history.csv files
+        out = cli_runs / mode
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["artifacts"] == written
+        assert len(written) == (37 if mode == "all" else 2)
 
     def test_dead_worker_fails_its_variants_without_hanging(self, tmp_path):
         # the dataset's unpickling ends the worker process before any fit

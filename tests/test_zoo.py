@@ -240,7 +240,7 @@ def _make_bundle(vid="gru_basic", seed=0, meta=None):
     scaler = ScalerStats(mins=np.zeros(6), maxs=np.ones(6) * 50.0,
                          target_min=0.0, target_max=100.0,
                          degenerate=np.zeros(6, dtype=bool))
-    return ModelBundle(variant_id=vid, window_s=10, context_len=5, scaler=scaler,
+    return ModelBundle(variant_id=vid, window_s=10, scaler=scaler,
                        params=params, meta=meta or {"val_mae": 0.05})
 
 
