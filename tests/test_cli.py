@@ -77,6 +77,25 @@ class TestPipelineFlow:
         assert gru.meta["seed"] == derive_seed(0, "variant:gru_basic")
         assert gru.meta["epochs"] == 2
 
+    def test_evaluate_writes_ranked_metrics(self, flow, capsys):
+        # benchmark is the one command that scores bundles (evaluation.evaluate)
+        assert main(["benchmark", "--data", str(flow / "ds"),
+                     "--run", str(flow / "run")]) == 0
+        out = capsys.readouterr().out
+        assert "rmse" in out and "lin_basic" in out and "gru_basic" in out
+        run = flow / "run"
+        ranked = [l.split(",")[1]
+                  for l in (run / "rankings.csv").read_text().splitlines()[1:]]
+        with (run / "metrics.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        # the ranked variants, then the baseline without latency
+        assert [r["variant_id"] for r in rows] == ranked + ["last_value"]
+        assert set(ranked) == {"lin_basic", "gru_basic"}
+        rmses = [float(r["rmse"]) for r in rows[:-1]]
+        assert rmses == sorted(rmses)
+        assert all(float(r["latency_ms_batch16"]) > 0 for r in rows[:-1])
+        assert rows[-1]["latency_ms_batch16"] == ""
+
     def test_benchmark_rankings_and_densities(self, flow, capsys):
         assert main(["benchmark", "--data", str(flow / "ds"),
                      "--run", str(flow / "run")]) == 0
@@ -89,14 +108,6 @@ class TestPipelineFlow:
         assert [r[0] for r in rows] == ["1", "2"]
         assert float(rows[0][2]) <= float(rows[1][2])
         assert all(float(r[4]) > 0 for r in rows)
-        with (run / "metrics.csv").open() as fh:
-            mrows = list(csv.DictReader(fh))
-        # the ranked variants, then the baseline without latency
-        assert [r["variant_id"] for r in mrows] == [r[1] for r in rows] + ["last_value"]
-        rmses = [float(r["rmse"]) for r in mrows[:-1]]
-        assert rmses == sorted(rmses)
-        assert all(float(r["latency_ms_batch16"]) > 0 for r in mrows[:-1])
-        assert mrows[-1]["latency_ms_batch16"] == ""
         for cls in ("gru", "linear_dnn"):
             dens = (run / f"density_{cls}.csv").read_text().splitlines()
             assert dens[0] == "bin_left,bin_right,density"
