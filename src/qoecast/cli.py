@@ -23,6 +23,7 @@ from .errors import QoecastError
 from .evaluation import (
     LatencyBudget,
     benchmark_latency,
+    check_scaler,
     evaluate,
     evaluate_baseline,
     export_error_density,
@@ -30,7 +31,7 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .explain import attention_map, integrated_gradients, lime_local
-from .pipeline import build_dataset, load_dataset, save_dataset
+from .pipeline import PARTS, build_dataset, load_dataset, save_dataset
 from .seeding import derive_seed
 from .serve import FeedbackPolicy, run_stream
 from .synthgen import GeneratorConfig, generate_trace
@@ -117,7 +118,7 @@ def cmd_prepare(args) -> int:
     _write_manifest(out, "prepare", args, None,
                     ["train.ndjson", "val.ndjson", "test.ndjson",
                      "scaler.json", "dataset.json"])
-    counts = {p: len(getattr(ds.split, p)) for p in ("train", "val", "test")}
+    counts = {p: len(getattr(ds, p)) for p in PARTS}
     print(f"prepared dataset at {out}: {counts}")
     return 0
 
@@ -207,18 +208,19 @@ def cmd_benchmark(args) -> int:
 def cmd_explain(args) -> int:
     bundle = load_bundle(Path(args.bundle))
     ds = load_dataset(Path(args.data))
-    seqs = getattr(ds.split, args.part)
-    if not (0 <= args.index < len(seqs)):
+    check_scaler(bundle, ds)
+    part = getattr(ds, args.part)
+    if not (0 <= args.index < len(part)):
         raise UsageError(f"--index {args.index} outside {args.part} split "
-                         f"of {len(seqs)} sequences")
-    seq = seqs[args.index]
+                         f"of {len(part)} sequences")
+    x = part.X[args.index]
     doc: dict = {
         "variant_id": bundle.variant_id,
         "method": args.method,
-        "origin": list(seq.origin),
+        "origin": list(part.origin[args.index]),
     }
     if args.method == "ig":
-        att = integrated_gradients(bundle, seq.inputs, steps=args.steps)
+        att = integrated_gradients(bundle, x, steps=args.steps)
         doc.update({
             "prediction": att.prediction,
             "baseline_prediction": att.baseline_prediction,
@@ -228,13 +230,13 @@ def cmd_explain(args) -> int:
                       for w, f, v in att.top_k(3)],
         })
     elif args.method == "attention":
-        amap = attention_map(bundle, seq.inputs)
+        amap = attention_map(bundle, x)
         doc.update({
             "prediction": amap.prediction,
             "weights": np.asarray(amap.weights).tolist(),
         })
     else:  # lime
-        sur = lime_local(bundle, seq.inputs, seed=args.seed)
+        sur = lime_local(bundle, x, seed=args.seed)
         doc.update({
             "intercept": sur.intercept,
             "r_squared": sur.r_squared,
@@ -315,7 +317,7 @@ def build_parser() -> _Parser:
     x = sub.add_parser("explain", help="explain one test prediction")
     x.add_argument("--bundle", required=True)
     x.add_argument("--data", required=True)
-    x.add_argument("--part", choices=["train", "val", "test"], default="test")
+    x.add_argument("--part", choices=PARTS, default="test")
     x.add_argument("--index", type=int, default=0)
     x.add_argument("--method", choices=["ig", "attention", "lime"], default="ig")
     x.add_argument("--steps", type=int, default=64)

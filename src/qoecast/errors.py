@@ -4,6 +4,8 @@ Everything domain-level derives from QoecastError so callers (and the CLI)
 can separate bad data / bad usage from genuine bugs.
 """
 
+import json
+
 
 class QoecastError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -133,9 +135,17 @@ class ScalerMissing(QoecastError):
 
 # ---------------------------------------------------- bundle and dataset files
 
-def malformed(source, exc: KeyError | TypeError) -> ShapeMismatch:
+def malformed(source, exc: KeyError | TypeError | ValueError) -> ShapeMismatch:
     """The error for a JSON document, read from `source`, that lacks a key
-    (KeyError) or holds a value of the wrong JSON type (TypeError)."""
+    (KeyError), holds a wrong type (TypeError) or does not parse (ValueError)."""
     if isinstance(exc, KeyError):
         return ShapeMismatch(f"{source}: no {exc.args[0]!r} key")
     return ShapeMismatch(f"{source}: malformed ({exc})")
+
+
+def load_json(text: str, source):
+    """json.loads, with a syntax error raised as ShapeMismatch naming `source`."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise malformed(source, exc) from None

@@ -62,10 +62,16 @@ class LatencyStats:
 
 
 def _test_arrays(dataset: PreparedDataset):
-    X, y = dataset.arrays("test")
-    if len(X) == 0:
+    if len(dataset.test) == 0:
         raise EmptySplit("test split is empty")
-    return X, y
+    return dataset.test.X, dataset.test.y
+
+
+def check_scaler(bundle: ModelBundle, dataset: PreparedDataset) -> None:
+    """Raise ScalerMismatch unless the bundle was trained on this scaler."""
+    if scaler_fingerprint(bundle.scaler) != scaler_fingerprint(dataset.scaler):
+        raise ScalerMismatch(
+            f"{bundle.variant_id}: bundle scaler does not match dataset scaler")
 
 
 def _metrics(variant_id: str, model_class: str, dataset: PreparedDataset,
@@ -82,14 +88,9 @@ def _metrics(variant_id: str, model_class: str, dataset: PreparedDataset,
 
 
 def evaluate(bundle: ModelBundle, dataset: PreparedDataset) -> MetricsReport:
-    """Test-split MAE and RMSE in QoE units for one bundle.
-
-    The bundle must have been trained against this dataset's scaler;
-    mismatched statistics raise rather than silently skewing the metrics.
-    """
-    if scaler_fingerprint(bundle.scaler) != scaler_fingerprint(dataset.scaler):
-        raise ScalerMismatch(
-            f"{bundle.variant_id}: bundle scaler does not match dataset scaler")
+    """Test-split MAE and RMSE in QoE units for one bundle, which must
+    pass check_scaler against the dataset."""
+    check_scaler(bundle, dataset)
     X, y = _test_arrays(dataset)
     runner = BundleRunner(bundle)
     preds = np.concatenate([

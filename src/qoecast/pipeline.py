@@ -3,15 +3,16 @@
 Ticks are aggregated into fixed, non-overlapping windows by
 telemetry.WindowAggregator, the same rule serve applies live; each window
 becomes a 6-feature vector whose last entry is the window's QoE (so models
-see QoE history as an autoregressive input). Min-max scaling is fitted on
-training windows only. A model input is the 5-window context preceding the
-target window; targets are the scaled QoE of the next window. build_dataset
-finds the sequences, orders them and cuts the split in one pass.
+see QoE history as an autoregressive input). Min-max scaling (mins, maxs)
+is fitted on training windows only. A model input is the 5-window context
+preceding the target window; targets are the scaled QoE of the next window.
+build_dataset cuts the sequences into train, val and test arrays in one pass.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSequences,
     TraceTooShort,
+    load_json,
     malformed,
 )
 from .synthgen import window_qoe
@@ -102,61 +104,66 @@ def window_trace(trace: Trace, window_s: int = DEFAULT_WINDOW_S) -> WindowingRes
 class ScalerStats:
     """Per-feature min-max statistics fitted on training windows only.
 
-    Features whose min equals max are degenerate and map to 0.0. The target
-    (next-window QoE) keeps its own min/max, which coincide with the qoe
-    feature's when fitted from the same windows.
+    A feature whose min equals its max is degenerate and maps to 0.0. The
+    target is the next window's QoE, so its bounds are the qoe feature's.
     """
 
     mins: np.ndarray  # (6,)
     maxs: np.ndarray  # (6,)
-    target_min: float
-    target_max: float
-    degenerate: np.ndarray  # (6,) bool
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.maxs == self.mins
 
     def to_dict(self) -> dict:
         return {
-            "mins": [float(x) for x in self.mins],
-            "maxs": [float(x) for x in self.maxs],
-            "target_min": float(self.target_min),
-            "target_max": float(self.target_max),
-            "degenerate": [bool(x) for x in self.degenerate],
+            "mins": self.mins.tolist(),
+            "maxs": self.maxs.tolist(),
+            "target_min": float(self.mins[QOE_FEATURE]),
+            "target_max": float(self.maxs[QOE_FEATURE]),
+            "degenerate": self.degenerate.tolist(),
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScalerStats":
-        return cls(
-            mins=np.asarray(d["mins"], dtype=np.float64),
-            maxs=np.asarray(d["maxs"], dtype=np.float64),
-            target_min=float(d["target_min"]),
-            target_max=float(d["target_max"]),
-            degenerate=np.asarray(d["degenerate"], dtype=bool),
-        )
+    def from_dict(cls, d: dict, source) -> "ScalerStats":
+        """Read to_dict's output, from a bundle or scaler.json; values that
+        to_dict would not have written raise ShapeMismatch naming `source`."""
+        try:
+            for key, kind, valid in (("mins", "finite numbers", _finite_number),
+                                     ("maxs", "finite numbers", _finite_number),
+                                     ("degenerate", "booleans", lambda v: type(v) is bool)):
+                if not (isinstance(d[key], list) and len(d[key]) == N_FEATURES
+                        and all(map(valid, d[key]))):
+                    raise ShapeMismatch(f"{source}: {key} must be {N_FEATURES} {kind}, "
+                                        f"got {d[key]!r}")
+            stats = cls(mins=np.array(d["mins"], dtype=np.float64),
+                        maxs=np.array(d["maxs"], dtype=np.float64))
+            for key, want in stats.to_dict().items():
+                if d[key] != want:
+                    raise ShapeMismatch(f"{source}: {key} is {d[key]!r}, "
+                                        f"mins and maxs give {want!r}")
+        except (KeyError, TypeError) as exc:
+            raise malformed(source, exc) from None
+        return stats
+
+
+def _finite_number(v) -> bool:  # NaN, infinities and ints past the float range fail
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def scaler_fingerprint(stats: ScalerStats) -> int:
-    """CRC-32 over the canonical little-endian bytes of the statistics."""
-    crc = 0
-    for arr in (stats.mins, stats.maxs,
-                np.array([stats.target_min, stats.target_max]),
-                stats.degenerate.astype(np.float64)):
-        crc = zlib.crc32(np.ascontiguousarray(arr, dtype="<f8").tobytes(), crc)
-    return crc
+    """CRC-32 over the little-endian float64 bytes of to_dict's values, in order."""
+    q = [QOE_FEATURE]
+    values = np.concatenate((stats.mins, stats.maxs, stats.mins[q], stats.maxs[q],
+                             stats.degenerate))
+    return zlib.crc32(values.astype("<f8").tobytes())
 
 
 def fit_scaler(windows: list[WindowFeatures]) -> ScalerStats:
     if len(windows) < 2:
         raise InsufficientData(f"need at least 2 windows to fit a scaler, got {len(windows)}")
     mat = np.stack([w.features for w in windows])
-    mins = mat.min(axis=0)
-    maxs = mat.max(axis=0)
-    degenerate = maxs == mins
-    return ScalerStats(
-        mins=mins,
-        maxs=maxs,
-        target_min=float(mins[QOE_FEATURE]),
-        target_max=float(maxs[QOE_FEATURE]),
-        degenerate=degenerate,
-    )
+    return ScalerStats(mins=mat.min(axis=0), maxs=mat.max(axis=0))
 
 
 def scale_features(stats: ScalerStats, raw: np.ndarray) -> np.ndarray:
@@ -168,66 +175,53 @@ def scale_features(stats: ScalerStats, raw: np.ndarray) -> np.ndarray:
     return np.where(stats.degenerate, 0.0, scaled)
 
 
-def scale_target(stats: ScalerStats, qoe: float | np.ndarray):
-    if stats.target_max == stats.target_min:
-        return np.zeros_like(np.asarray(qoe, dtype=np.float64)) + 0.0
-    return (np.asarray(qoe, dtype=np.float64) - stats.target_min) / (stats.target_max - stats.target_min)
-
-
 def inverse_target(stats: ScalerStats, scaled: float | np.ndarray):
-    """Map scaled predictions back to QoE units. Identity composed with
-    scale_target on non-degenerate targets."""
-    if stats.target_max == stats.target_min:
-        return np.zeros_like(np.asarray(scaled, dtype=np.float64)) + stats.target_min
-    return stats.target_min + np.asarray(scaled, dtype=np.float64) * (stats.target_max - stats.target_min)
+    """Map scaled predictions back to QoE units, the inverse of the qoe
+    column of scale_features on a non-degenerate target."""
+    lo, hi = stats.mins[QOE_FEATURE], stats.maxs[QOE_FEATURE]
+    if hi == lo:
+        return np.zeros_like(np.asarray(scaled, dtype=np.float64)) + lo
+    return lo + np.asarray(scaled, dtype=np.float64) * (hi - lo)
 
 
-# ---------------------------------------------------------------- sequences
+# ------------------------------------------------------------ the split
+
+PARTS = ("train", "val", "test")
+
 
 @dataclass(frozen=True)
-class SequenceSample:
-    """One supervised example: 5 consecutive scaled windows and the scaled
-    QoE of the window after them. origin identifies the source windows;
-    target_ts_ms positions the target window on the dataset's global
-    timeline (trace offsets included) for chronological ordering."""
+class SplitArrays:
+    """One part of the chronological split. Row i is 5 scaled windows, the
+    scaled QoE of the window after them, where they start, and the target
+    window's time on the global timeline (trace offsets included)."""
 
-    inputs: np.ndarray  # (5, 6) float64
-    target: float
-    origin: tuple[str, int]  # (trace_id, first window index)
-    target_ts_ms: int
+    X: np.ndarray  # (n, 5, 6) float64
+    y: np.ndarray  # (n,) float64
+    origin: list[tuple[str, int]]
+    target_ts_ms: np.ndarray  # (n,) int64
 
+    def __len__(self) -> int:
+        return len(self.y)
 
-@dataclass
-class DatasetSplit:
-    """Chronological train/val/test partition of sequences."""
-
-    train: list[SequenceSample]
-    val: list[SequenceSample]
-    test: list[SequenceSample]
-    train_end_ts_ms: int
-    val_end_ts_ms: int
+    def __getitem__(self, rows: slice) -> "SplitArrays":
+        return SplitArrays(X=self.X[rows], y=self.y[rows], origin=self.origin[rows],
+                           target_ts_ms=self.target_ts_ms[rows])
 
 
 # ------------------------------------------------------------ full assembly
 
 @dataclass
 class PreparedDataset:
-    """Everything a model needs: the split, the scaler it was scaled with,
-    and the window length. The context, horizon and feature order are the
-    module's fixed protocol."""
+    """Everything a model needs: the three parts of the split, the scaler
+    they were scaled with, and the window length. The context, horizon and
+    feature order are the module's fixed protocol."""
 
-    split: DatasetSplit
+    train: SplitArrays
+    val: SplitArrays
+    test: SplitArrays
     scaler: ScalerStats
     window_s: int = DEFAULT_WINDOW_S
     dropped_windows: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def arrays(self, part: str) -> tuple[np.ndarray, np.ndarray]:
-        seqs = getattr(self.split, part)
-        if not seqs:
-            return (np.zeros((0, CONTEXT_LEN, N_FEATURES)), np.zeros((0,)))
-        X = np.stack([s.inputs for s in seqs])
-        y = np.array([s.target for s in seqs], dtype=np.float64)
-        return X, y
 
 
 def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> PreparedDataset:
@@ -286,32 +280,18 @@ def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> Prep
 
     used = {(slot, j) for _, slot, i in starts[:n_train] for j in range(i, i + need)}
     scaler = fit_scaler([per_trace[slot][j] for slot, j in used])
-    scaled, targets = [], []
-    for windows in per_trace:
-        raw = np.stack([w.features for w in windows])
-        scaled.append(scale_features(scaler, raw))
-        targets.append(scale_target(scaler, raw[:, QOE_FEATURE]))
-
-    sequences = [
-        SequenceSample(
-            inputs=scaled[slot][i : i + CONTEXT_LEN].copy(),
-            target=float(targets[slot][i + need - 1]),
-            origin=(traces[slot].trace_id, per_trace[slot][i].window_index),
-            target_ts_ms=ts,
-        )
-        for ts, slot, i in starts
-    ]
-    train = sequences[:n_train]
-    val = sequences[n_train : n_train + n_val]
-    split = DatasetSplit(
-        train=train,
-        val=val,
-        test=sequences[n_train + n_val :],
-        train_end_ts_ms=train[-1].target_ts_ms if train else -1,
-        val_end_ts_ms=val[-1].target_ts_ms if val else -1,
+    scaled = [scale_features(scaler, np.stack([w.features for w in windows]))
+              for windows in per_trace]
+    every = SplitArrays(
+        X=np.stack([scaled[slot][i : i + CONTEXT_LEN] for _, slot, i in starts]),
+        y=np.array([scaled[slot][i + need - 1, QOE_FEATURE] for _, slot, i in starts]),
+        origin=[(traces[slot].trace_id, per_trace[slot][i].window_index)
+                for _, slot, i in starts],
+        target_ts_ms=np.array([ts for ts, _, _ in starts], dtype=np.int64),
     )
-    return PreparedDataset(split=split, scaler=scaler, window_s=window_s,
-                           dropped_windows=dropped)
+    return PreparedDataset(train=every[:n_train], val=every[n_train : n_train + n_val],
+                           test=every[n_train + n_val :], scaler=scaler,
+                           window_s=window_s, dropped_windows=dropped)
 
 
 # ----------------------------------------------------------------- dataset IO
@@ -320,15 +300,13 @@ def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
     """Write a prepared dataset as NDJSON splits + scaler + geometry."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for part in ("train", "val", "test"):
-        with (out / f"{part}.ndjson").open("w", encoding="utf-8") as fh:
-            for s in getattr(ds.split, part):
-                fh.write(json.dumps({
-                    "origin": [s.origin[0], s.origin[1]],
-                    "inputs": [[float(v) for v in row] for row in s.inputs],
-                    "target": float(s.target),
-                    "target_ts_ms": s.target_ts_ms,
-                }) + "\n")
+    for name in PARTS:
+        part = getattr(ds, name)
+        with (out / f"{name}.ndjson").open("w", encoding="utf-8") as fh:
+            for origin, x, y, ts in zip(part.origin, part.X.tolist(), part.y.tolist(),
+                                        part.target_ts_ms.tolist()):
+                fh.write(json.dumps({"origin": list(origin), "inputs": x, "target": y,
+                                     "target_ts_ms": ts}) + "\n")
     (out / "scaler.json").write_text(
         json.dumps(ds.scaler.to_dict(), indent=2) + "\n", encoding="utf-8")
     (out / "dataset.json").write_text(json.dumps({
@@ -336,21 +314,54 @@ def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
         "context_len": CONTEXT_LEN,
         "horizon": HORIZON,
         "feature_order": list(FEATURE_NAMES),
-        "counts": {p: len(getattr(ds.split, p)) for p in ("train", "val", "test")},
-        "train_end_ts_ms": ds.split.train_end_ts_ms,
-        "val_end_ts_ms": ds.split.val_end_ts_ms,
+        **_split_facts(ds),
         "dropped_windows": [list(d) for d in ds.dropped_windows],
     }, indent=2) + "\n", encoding="utf-8")
+
+
+def _split_facts(ds: PreparedDataset) -> dict:
+    """dataset.json's counts and last train and val target times (-1 if empty)."""
+    facts = {"counts": {name: len(getattr(ds, name)) for name in PARTS}}
+    for name in ("train", "val"):
+        ts = getattr(ds, name).target_ts_ms
+        facts[f"{name}_end_ts_ms"] = int(ts[-1]) if len(ts) else -1
+    return facts
+
+
+def _load_part(path: Path) -> SplitArrays:
+    """Read one split file; a bad row raises ShapeMismatch naming the line."""
+    xs, ys, origins, stamps = [], [], [], []
+    with path.open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path} line {line_no}"
+            d = load_json(line, where)
+            try:
+                x = np.asarray(d["inputs"], dtype=np.float64)
+                ys.append(float(d["target"]))
+                origins.append((d["origin"][0], int(d["origin"][1])))
+                stamps.append(int(d["target_ts_ms"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise malformed(where, exc) from None
+            if x.shape != (CONTEXT_LEN, N_FEATURES):
+                raise ShapeMismatch(f"{where}: inputs have shape {x.shape}, "
+                                    f"the model zoo takes {(CONTEXT_LEN, N_FEATURES)}")
+            xs.append(x)
+    return SplitArrays(X=np.array(xs).reshape(-1, CONTEXT_LEN, N_FEATURES),
+                       y=np.array(ys, dtype=np.float64), origin=origins,
+                       target_ts_ms=np.array(stamps, dtype=np.int64))
 
 
 def load_dataset(in_dir: str | Path) -> PreparedDataset:
     """Read a dataset written by save_dataset. A geometry other than the
     fixed protocol raises ShapeMismatch naming the field, before any model
-    sees the data; so does a missing key or a value of the wrong JSON type,
-    naming the file and, in a split, the line."""
+    sees the data; so does a syntax error, a missing key, a value of the wrong
+    JSON type or a count or end time the splits contradict, naming the file
+    and, in a split, the line."""
     src = Path(in_dir)
     meta_path, scaler_path = src / "dataset.json", src / "scaler.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = load_json(meta_path.read_text(encoding="utf-8"), meta_path)
     fixed = {"context_len": CONTEXT_LEN, "horizon": HORIZON,
              "feature_order": list(FEATURE_NAMES)}
     try:
@@ -359,41 +370,16 @@ def load_dataset(in_dir: str | Path) -> PreparedDataset:
                 raise ShapeMismatch(f"{meta_path}: {key} is {meta[key]!r}, "
                                     f"the model zoo takes {want!r}")
         window_s = int(meta["window_s"])
-        train_end, val_end = int(meta["train_end_ts_ms"]), int(meta["val_end_ts_ms"])
         dropped = [tuple(d) for d in meta.get("dropped_windows", [])]
+        stored = {key: meta[key] for key in ("counts", "train_end_ts_ms", "val_end_ts_ms")}
     except (KeyError, TypeError) as exc:
         raise malformed(meta_path, exc) from None
-    try:
-        scaler = ScalerStats.from_dict(json.loads(scaler_path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError) as exc:
-        raise malformed(scaler_path, exc) from None
-    parts = {}
-    for part in ("train", "val", "test"):
-        path = src / f"{part}.ndjson"
-        seqs = []
-        with path.open(encoding="utf-8") as fh:
-            try:
-                for line_no, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    d = json.loads(line)
-                    seqs.append(SequenceSample(
-                        inputs=np.asarray(d["inputs"], dtype=np.float64),
-                        target=float(d["target"]),
-                        origin=(d["origin"][0], int(d["origin"][1])),
-                        target_ts_ms=int(d["target_ts_ms"]),
-                    ))
-            except (KeyError, TypeError) as exc:
-                raise malformed(f"{path} line {line_no}", exc) from None
-        parts[part] = seqs
-    split = DatasetSplit(
-        train=parts["train"], val=parts["val"], test=parts["test"],
-        train_end_ts_ms=train_end,
-        val_end_ts_ms=val_end,
-    )
-    return PreparedDataset(
-        split=split,
-        scaler=scaler,
-        window_s=window_s,
-        dropped_windows=dropped,
-    )
+    scaler_doc = load_json(scaler_path.read_text(encoding="utf-8"), scaler_path)
+    ds = PreparedDataset(**{name: _load_part(src / f"{name}.ndjson") for name in PARTS},
+                         scaler=ScalerStats.from_dict(scaler_doc, scaler_path),
+                         window_s=window_s, dropped_windows=dropped)
+    for key, want in _split_facts(ds).items():
+        if stored[key] != want:
+            raise ShapeMismatch(f"{meta_path}: {key} is {stored[key]!r}, "
+                                f"the split files give {want!r}")
+    return ds

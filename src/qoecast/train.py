@@ -203,8 +203,8 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
     randomness (init, shuffling, dropout) is derived from config.seed and
     the variant id.
     """
-    X_train, y_train = dataset.arrays("train")
-    X_val, y_val = dataset.arrays("val")
+    X_train, y_train = dataset.train.X, dataset.train.y
+    X_val, y_val = dataset.val.X, dataset.val.y
     if len(X_train) == 0 or len(X_val) == 0:
         raise EmptySplit(
             f"train/val must be non-empty, got {len(X_train)}/{len(X_val)}")
@@ -426,8 +426,8 @@ def fit_linear(variant_id: str, dataset: PreparedDataset,
     model = build_variant(variant_id)
     if model.model_class != "linear":
         raise ValueError(f"{variant_id} is not a linear variant")
-    X, y = dataset.arrays("train")
-    X_val, y_val = dataset.arrays("val")
+    X, y = dataset.train.X, dataset.train.y
+    X_val, y_val = dataset.val.X, dataset.val.y
     if len(X) == 0:
         raise EmptySplit("train split is empty")
     Xf = X.reshape(len(X), -1)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nncore as nc
 from .errors import (ChecksumMismatch, ShapeMismatch, UnknownVariant, VersionMismatch,
-                     malformed)
+                     load_json, malformed)
 from .nncore import ParamSpec, Tape, Tensor
 from .pipeline import CONTEXT_LEN, FEATURE_NAMES, N_FEATURES, QOE_FEATURE, ScalerStats
 
@@ -370,14 +370,14 @@ def deserialize(text: str) -> ModelBundle:
     CRC-32 of the params section, declared shapes against value counts, and
     both against the architecture's own parameter spec. A context_len or
     feature_order other than the protocol's raises ShapeMismatch naming the
-    field, as load_dataset does; so does a missing key or a value of the
-    wrong JSON type.
+    field, as load_dataset does; so does a JSON syntax error, a missing key,
+    a value of the wrong JSON type or a bad scaler.
     """
     return _parse_bundle(text, "bundle")
 
 
 def _parse_bundle(text: str, source) -> ModelBundle:
-    doc = json.loads(text)
+    doc = load_json(text, source)
     if not isinstance(doc, dict):
         raise ShapeMismatch(f"{source}: not a JSON object")
     version = doc.get("format_version")
@@ -421,7 +421,7 @@ def _parse_bundle(text: str, source) -> ModelBundle:
         return ModelBundle(
             variant_id=variant_id,
             window_s=int(doc["window_s"]),
-            scaler=ScalerStats.from_dict(doc["scaler"]),
+            scaler=ScalerStats.from_dict(doc["scaler"], source),
             params=params,
             meta=doc.get("meta", {}),
         )

@@ -176,7 +176,7 @@ def test_criterion_04_desk_benchmark(tmp_path):
                                              trace_id=f"trace_{i:02d}"))
               for i in range(6)]
     ds = build_dataset(traces)
-    n_seq = sum(len(getattr(ds.split, p)) for p in ("train", "val", "test"))
+    n_seq = sum(len(getattr(ds, p)) for p in ("train", "val", "test"))
     assert n_seq == 330
 
     outcomes = run_all_variants(ds, TrainConfig(seed=1), tmp_path)
@@ -245,17 +245,17 @@ def test_criterion_07_pipeline_invariants():
                               trace_id=f"t{i:02d}")
         trace = generate_trace(cfg)
         ds = build_dataset([trace])
-        tr, va, te = ds.split.train, ds.split.val, ds.split.test
+        tr, va, te = ds.train, ds.val, ds.test
 
         # chronological: every train target precedes val precedes test
-        assert max(s.target_ts_ms for s in tr) < min(s.target_ts_ms for s in va)
-        assert max(s.target_ts_ms for s in va) < min(s.target_ts_ms for s in te)
+        assert max(tr.target_ts_ms) < min(va.target_ts_ms)
+        assert max(va.target_ts_ms) < min(te.target_ts_ms)
 
         # scaler stats must equal an independent refit on train windows only
         windows = window_trace(trace).windows
         raw = np.stack([w.features for w in windows])
-        used = sorted({w for s in tr
-                       for w in range(s.origin[1], s.origin[1] + 6)})
+        used = sorted({w for _, first in tr.origin
+                       for w in range(first, first + 6)})
         assert np.array_equal(ds.scaler.mins, raw[used].min(axis=0))
         assert np.array_equal(ds.scaler.maxs, raw[used].max(axis=0))
 
@@ -268,10 +268,11 @@ def test_criterion_07_pipeline_invariants():
         live = ~ds.scaler.degenerate
         back = scaled[:, live] * span[live] + ds.scaler.mins[live]
         assert np.max(np.abs(back - raw[:, live])) <= 1e-9
-        for s in list(tr) + list(va) + list(te):
-            target_window = s.origin[1] + 5
-            assert abs(inverse_target(ds.scaler, s.target)
-                       - raw[target_window, 5]) <= 1e-9
+        for part in (tr, va, te):
+            for (_, first), target in zip(part.origin, part.y):
+                target_window = first + 5
+                assert abs(inverse_target(ds.scaler, target)
+                           - raw[target_window, 5]) <= 1e-9
         checked += 1
     _report(7, checked == 50,
             f"split ordering, train-only scaler refit, count formula and "
@@ -279,7 +280,7 @@ def test_criterion_07_pipeline_invariants():
 
 
 def test_criterion_08_explainability(small_dataset, linear_bundle):
-    inputs = [s.inputs for s in small_dataset.split.test[:10]]
+    inputs = list(small_dataset.test.X[:10])
 
     worst_rel = 0.0
     for vid in NEURAL_VARIANTS:

@@ -20,6 +20,8 @@ from qoecast.synthgen import GeneratorConfig, generate_trace
 from qoecast.telemetry import load_trace
 from qoecast.zoo import load_bundle
 
+LASTVALUE = Path(__file__).parent / "data" / "lastvalue.bundle.json"
+
 
 @pytest.fixture(scope="module")
 def flow(tmp_path_factory):
@@ -63,8 +65,7 @@ class TestPipelineFlow:
 
     def test_prepare_dataset_counts(self, flow):
         ds = load_dataset(flow / "ds")
-        assert (len(ds.split.train), len(ds.split.val), len(ds.split.test)) \
-            == (77, 11, 22)
+        assert (len(ds.train), len(ds.val), len(ds.test)) == (77, 11, 22)
         assert (flow / "ds" / "manifest.json").exists()
 
     def test_train_outputs(self, flow):
@@ -336,6 +337,43 @@ class TestExitCodes:
             where, key = f"{ds / 'test.ndjson'} line 3", "target"
         assert main(["benchmark", "--data", str(ds), "--run", str(flow / "run")]) == 2
         assert f"ShapeMismatch: {where}: no '{key}' key" in capsys.readouterr().err
+
+    def test_bundle_scaler_with_three_mins_fails_at_load(self, tmp_path, capsys):
+        doc = json.loads(LASTVALUE.read_text())
+        doc["scaler"]["mins"] = doc["scaler"]["mins"][:3]
+        path = tmp_path / "bad.bundle.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "decisions.ndjson"
+        assert main(["serve", "--bundle", str(path), "--out", str(out)]) == 2
+        assert f"ShapeMismatch: {path}: mins must be 6 finite numbers" \
+            in capsys.readouterr().err
+        assert not out.exists()  # rejected before the stream opened
+
+    def test_scaler_json_with_three_mins_is_data_error(self, flow, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(flow / "ds", ds)
+        doc = json.loads((ds / "scaler.json").read_text())
+        doc["mins"] = doc["mins"][:3]
+        (ds / "scaler.json").write_text(json.dumps(doc))
+        assert main(["train", "--data", str(ds), "--variant", "lin_basic",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"ShapeMismatch: {ds / 'scaler.json'}: mins must be 6 finite numbers" \
+            in capsys.readouterr().err
+
+    def test_truncated_bundle_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "cut.bundle.json"
+        path.write_bytes(LASTVALUE.read_bytes()[:200])
+        assert main(["serve", "--bundle", str(path)]) == 2
+        assert f"ShapeMismatch: {path}: malformed (" in capsys.readouterr().err
+
+    def test_explain_rejects_another_datasets_scaler(self, flow, tmp_path, capsys):
+        # the same check benchmark makes: explanations of inputs scaled with
+        # other statistics would be silently wrong
+        assert main(["explain", "--bundle", str(LASTVALUE), "--data", str(flow / "ds"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert "ScalerMismatch: lin_basic: bundle scaler does not match" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_dataset_directory(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),

@@ -38,7 +38,7 @@ class TestEvaluate:
         # metrics reduce to a plain numpy computation in QoE units
         ds = small_dataset
         rep = evaluate(_linear_probe_bundle(ds, bias=0.5), ds)
-        _, y = ds.arrays("test")
+        y = ds.test.y
         errors = (inverse_target(ds.scaler, 0.5) - inverse_target(ds.scaler, y))
         assert rep.mae == pytest.approx(float(np.mean(np.abs(errors))), abs=1e-12)
         assert rep.rmse == pytest.approx(float(np.sqrt(np.mean(errors ** 2))), abs=1e-12)
@@ -76,16 +76,14 @@ class TestEvaluate:
         ds = small_dataset
         bundle = _linear_probe_bundle(ds, bias=0.5)
         s = ds.scaler
-        bundle.scaler = ScalerStats(mins=s.mins + 1e-9, maxs=s.maxs,
-                                    target_min=s.target_min, target_max=s.target_max,
-                                    degenerate=s.degenerate)
+        bundle.scaler = ScalerStats(mins=s.mins + 1e-9, maxs=s.maxs)
         with pytest.raises(ScalerMismatch):
             evaluate(bundle, ds)
 
     def test_empty_test_split(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path / "ds")
         ds = load_dataset(tmp_path / "ds")
-        ds.split.test = []
+        ds.test = ds.test[:0]
         with pytest.raises(EmptySplit):
             evaluate(_linear_probe_bundle(ds, bias=0.5), ds)
         with pytest.raises(EmptySplit):
@@ -94,7 +92,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("bundle", ["linear_bundle", "gru_bundle"])
     def test_batching_does_not_change_predictions(self, small_dataset, bundle, request):
         runner = BundleRunner(request.getfixturevalue(bundle))
-        X, _ = small_dataset.arrays("test")
+        X = small_dataset.test.X
         whole, _ = runner.predict(X)
         chunked = np.concatenate([runner.predict(X[i : i + 4])[0]
                                   for i in range(0, len(X), 4)])

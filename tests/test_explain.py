@@ -14,8 +14,7 @@ from qoecast.zoo import BundleRunner, ModelBundle, build_variant
 
 @pytest.fixture(scope="module")
 def probe_input(small_dataset):
-    X, _ = small_dataset.arrays("test")
-    return X[0]
+    return small_dataset.test.X[0]
 
 
 def _init_bundle(vid, small_dataset, seed=0):

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +18,12 @@ from qoecast.pipeline import (
     HORIZON,
     QOE_FEATURE,
     ScalerStats,
+    SplitArrays,
     build_dataset,
     fit_scaler,
     inverse_target,
     load_dataset,
     scale_features,
-    scale_target,
     scaler_fingerprint,
     save_dataset,
     window_trace,
@@ -29,6 +31,9 @@ from qoecast.pipeline import (
 from qoecast.seeding import derive_seed
 from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle
 from qoecast.telemetry import TelemetrySample, Trace
+
+
+DATASET_FILES = ("train.ndjson", "val.ndjson", "test.ndjson", "scaler.json", "dataset.json")
 
 
 def _tick(ts_ms, thr=20.0, jit=15.0, loss=0.01, loss_count=10, speed=30.0):
@@ -133,6 +138,12 @@ class TestWindowing:
             window_trace(tr, window_s=0)
 
 
+def _qoe_row(qoe, rest=0.0):
+    row = np.full(6, rest)
+    row[QOE_FEATURE] = qoe
+    return row
+
+
 class TestScaler:
     def _windows(self, n=20, seed=0):
         cfg = GeneratorConfig(seed=derive_seed(seed, "trace:0"), duration_s=n * 10)
@@ -143,8 +154,8 @@ class TestScaler:
         stats = fit_scaler(ws)
         assert stats.mins[0] == pytest.approx(1.18)
         assert stats.maxs[0] == pytest.approx(1.18 + 0.4 * 59)
-        assert stats.target_min == stats.mins[QOE_FEATURE]
-        assert stats.target_max == stats.maxs[QOE_FEATURE]
+        assert stats.to_dict()["target_min"] == stats.mins[QOE_FEATURE]
+        assert stats.to_dict()["target_max"] == stats.maxs[QOE_FEATURE]
 
     def test_scale_maps_fitted_range_to_unit(self):
         ws = self._windows()
@@ -177,23 +188,39 @@ class TestScaler:
         stats = fit_scaler(ws)
         for _ in range(200):
             q = float(rng.uniform(0, 100))
-            assert inverse_target(stats, scale_target(stats, q)) == pytest.approx(q, abs=1e-9)
+            scaled = scale_features(stats, _qoe_row(q))[QOE_FEATURE]
+            assert inverse_target(stats, scaled) == pytest.approx(q, abs=1e-9)
 
     def test_degenerate_target_inverse_is_constant(self):
-        stats = ScalerStats(mins=np.zeros(6), maxs=np.ones(6), target_min=55.0,
-                            target_max=55.0, degenerate=np.zeros(6, dtype=bool))
-        assert scale_target(stats, 55.0) == 0.0
+        stats = ScalerStats(mins=_qoe_row(55.0), maxs=_qoe_row(55.0, rest=1.0))
+        assert scale_features(stats, _qoe_row(55.0))[QOE_FEATURE] == 0.0
         assert inverse_target(stats, 0.3) == 55.0
 
     def test_fingerprint_stable_and_sensitive(self):
         ws = self._windows()
         stats = fit_scaler(ws)
         fp = scaler_fingerprint(stats)
-        assert fp == scaler_fingerprint(ScalerStats.from_dict(stats.to_dict()))
-        bumped = ScalerStats(mins=stats.mins + 1e-9, maxs=stats.maxs,
-                             target_min=stats.target_min, target_max=stats.target_max,
-                             degenerate=stats.degenerate)
+        assert fp == scaler_fingerprint(ScalerStats.from_dict(stats.to_dict(), "scaler"))
+        bumped = ScalerStats(mins=stats.mins + 1e-9, maxs=stats.maxs)
         assert fp != scaler_fingerprint(bumped)
+
+    @pytest.mark.parametrize("key,value", [
+        ("mins", [0.0] * 3), ("maxs", [1.0] * 7), ("mins", [0.0] * 5 + [float("nan")]),
+        ("maxs", [1.0] * 5 + ["1"]), ("maxs", [1.0] * 5 + [10 ** 400]),
+        ("degenerate", [0] * 6), ("degenerate", False)])
+    def test_from_dict_rejects_wrong_counts_and_types(self, key, value):
+        d = fit_scaler(self._windows()).to_dict()
+        d[key] = value
+        with pytest.raises(ShapeMismatch, match=f"scaler.json: {key} must be 6 "):
+            ScalerStats.from_dict(d, "scaler.json")
+
+    @pytest.mark.parametrize("key,value", [("target_min", -1.0), ("target_max", 1e9),
+                                           ("degenerate", [True] * 6)])
+    def test_from_dict_rejects_what_mins_and_maxs_contradict(self, key, value):
+        d = fit_scaler(self._windows()).to_dict()
+        d[key] = value
+        with pytest.raises(ShapeMismatch, match=f"scaler.json: {key} is "):
+            ScalerStats.from_dict(d, "scaler.json")
 
     def test_too_few_windows(self):
         ws = self._windows()
@@ -201,25 +228,30 @@ class TestScaler:
             fit_scaler(ws[:1])
 
 
-def _all_sequences(ds):
-    return ds.split.train + ds.split.val + ds.split.test
+def _all_rows(ds):
+    """The train, val and test rows of a dataset, in order, as one part."""
+    parts = (ds.train, ds.val, ds.test)
+    return SplitArrays(X=np.concatenate([p.X for p in parts]),
+                       y=np.concatenate([p.y for p in parts]),
+                       origin=[o for p in parts for o in p.origin],
+                       target_ts_ms=np.concatenate([p.target_ts_ms for p in parts]))
 
 
 class TestSequences:
     def test_count_formula(self):
         ds = build_dataset([_ramp_trace()])
-        assert len(_all_sequences(ds)) == 55  # 60 windows, context 5 + horizon 1
+        assert len(_all_rows(ds)) == 55  # 60 windows, context 5 + horizon 1
 
     def test_targets_and_origins(self):
         ds = build_dataset([_ramp_trace()])
         raw = np.stack([w.features for w in window_trace(_ramp_trace()).windows])
         scaled = scale_features(ds.scaler, raw)
-        targets = scale_target(ds.scaler, raw[:, QOE_FEATURE])
-        for i, s in enumerate(_all_sequences(ds)):
-            assert s.origin == ("ramp", i)
-            assert s.target == pytest.approx(float(targets[i + 5]), abs=0)
-            assert np.array_equal(s.inputs, scaled[i : i + 5])
-            assert s.target_ts_ms == (i + 5) * 10000
+        rows = _all_rows(ds)
+        for i in range(len(rows)):
+            assert rows.origin[i] == ("ramp", i)
+            assert rows.y[i] == pytest.approx(float(scaled[i + 5, QOE_FEATURE]), abs=0)
+            assert np.array_equal(rows.X[i], scaled[i : i + 5])
+            assert rows.target_ts_ms[i] == (i + 5) * 10000
 
     def test_sequences_never_span_gaps(self):
         # knock out window 30: runs of 30 and 29 windows remain
@@ -227,10 +259,9 @@ class TestSequences:
         tr = Trace(samples=tuple(_tick(i * 1000, thr=1.0 + 0.04 * i, jit=10.0, loss=0.0)
                                  for i in keep), trace_id="gap")
         assert len(window_trace(tr).windows) == 59
-        seqs = _all_sequences(build_dataset([tr]))
-        assert len(seqs) == (30 - 5) + (29 - 5)
-        for s in seqs:
-            first = s.origin[1]
+        rows = _all_rows(build_dataset([tr]))
+        assert len(rows) == (30 - 5) + (29 - 5)
+        for _, first in rows.origin:
             assert not (first <= 30 <= first + 5)
 
     def test_trace_too_short(self):
@@ -240,25 +271,27 @@ class TestSequences:
 
     def test_ts_offset_shifts_targets(self):
         ds = build_dataset([_ramp_trace(trace_id="a"), _ramp_trace(trace_id="b")])
-        first_b = min(s.target_ts_ms for s in _all_sequences(ds) if s.origin[0] == "b")
+        rows = _all_rows(ds)
+        first_b = min(ts for (tid, _), ts in zip(rows.origin, rows.target_ts_ms)
+                      if tid == "b")
         assert first_b == 600000 + 5 * 10000
 
 
 class TestChronoSplit:
     def test_fraction_counts(self):
-        split = build_dataset([_ramp_trace()]).split
-        assert (len(split.train), len(split.val), len(split.test)) == (38, 5, 12)
+        ds = build_dataset([_ramp_trace()])
+        assert (len(ds.train), len(ds.val), len(ds.test)) == (38, 5, 12)
 
     def test_chronological_order(self):
-        split = build_dataset([_ramp_trace(trace_id="a"), _ramp_trace(trace_id="b")]).split
-        ts = [s.target_ts_ms for s in split.train + split.val + split.test]
+        ds = build_dataset([_ramp_trace(trace_id="a"), _ramp_trace(trace_id="b")])
+        ts = _all_rows(ds).target_ts_ms.tolist()
         assert ts == sorted(ts)
-        assert split.train_end_ts_ms <= split.val[0].target_ts_ms
-        assert split.val_end_ts_ms <= split.test[0].target_ts_ms
+        assert ds.train.target_ts_ms[-1] <= ds.val.target_ts_ms[0]
+        assert ds.val.target_ts_ms[-1] <= ds.test.target_ts_ms[0]
 
     def test_remainder_goes_to_test(self):
-        split = build_dataset([_ramp_trace(160)]).split  # 16 windows, 11 sequences
-        assert (len(split.train), len(split.val), len(split.test)) == (7, 1, 3)
+        ds = build_dataset([_ramp_trace(160)])  # 16 windows, 11 sequences
+        assert (len(ds.train), len(ds.val), len(ds.test)) == (7, 1, 3)
 
     def test_too_few_sequences(self):
         # two 9-window traces give 4 sequences each
@@ -274,34 +307,34 @@ class TestBuildDataset:
         ds = build_dataset([_ramp_trace()])
         assert ds.scaler.maxs[0] == pytest.approx(1.18 + 0.4 * 42, abs=1e-9)
         qs = _ramp_qoe_chain(60)
-        assert ds.scaler.target_max == pytest.approx(qs[42], abs=1e-9)
-        assert ds.scaler.target_min == pytest.approx(qs[0], abs=1e-9)
+        assert ds.scaler.maxs[QOE_FEATURE] == pytest.approx(qs[42], abs=1e-9)
+        assert ds.scaler.mins[QOE_FEATURE] == pytest.approx(qs[0], abs=1e-9)
 
     def test_leakage_canary_test_targets_exceed_unit(self):
         # qoe keeps rising after the training cut, so honest scaling pushes
         # val and test targets past 1.0; a leaky scaler would cap them at 1
         ds = build_dataset([_ramp_trace()])
-        assert all(s.target > 1.0 for s in ds.split.test)
-        assert all(0.0 <= s.target <= 1.0 for s in ds.split.train)
+        assert all(t > 1.0 for t in ds.test.y)
+        assert all(0.0 <= t <= 1.0 for t in ds.train.y)
 
     def test_split_counts_and_order(self, small_dataset):
         ds = small_dataset
-        total = sum(len(getattr(ds.split, p)) for p in ("train", "val", "test"))
+        total = sum(len(getattr(ds, p)) for p in ("train", "val", "test"))
         assert total == 110  # two traces, 55 sequences each
-        assert len(ds.split.train) == 77
-        ts = [s.target_ts_ms for s in ds.split.train + ds.split.val + ds.split.test]
+        assert len(ds.train) == 77
+        ts = _all_rows(ds).target_ts_ms.tolist()
         assert ts == sorted(ts)
 
     def test_traces_laid_on_global_timeline(self, small_dataset):
         by_trace = {}
-        for part in ("train", "val", "test"):
-            for s in getattr(small_dataset.split, part):
-                by_trace.setdefault(s.origin[0], []).append(s.target_ts_ms)
+        rows = _all_rows(small_dataset)
+        for (trace_id, _), ts in zip(rows.origin, rows.target_ts_ms):
+            by_trace.setdefault(trace_id, []).append(ts)
         assert max(by_trace["trace_00"]) < min(by_trace["trace_01"])
         assert min(by_trace["trace_01"]) >= 600000
 
     def test_arrays_shapes(self, small_dataset):
-        X, y = small_dataset.arrays("train")
+        X, y = small_dataset.train.X, small_dataset.train.y
         assert X.shape == (77, 5, 6)
         assert y.shape == (77,)
         assert X.dtype == np.float64
@@ -309,8 +342,7 @@ class TestBuildDataset:
     def test_window_length_override(self):
         ds = build_dataset([_ramp_trace()], window_s=5)
         assert ds.window_s == 5
-        X, _ = ds.arrays("train")
-        assert X.shape == (int(115 * 0.7), 5, 6)  # 120 windows, 115 sequences
+        assert ds.train.X.shape == (int(115 * 0.7), 5, 6)  # 120 windows, 115 sequences
 
     def test_no_traces(self):
         with pytest.raises(InsufficientData):
@@ -325,15 +357,14 @@ class TestBuildDataset:
         for seed in range(6):
             cfg = GeneratorConfig(seed=derive_seed(seed, "trace:0"), duration_s=300)
             ds = build_dataset([generate_trace(cfg)])
-            n = sum(len(getattr(ds.split, p)) for p in ("train", "val", "test"))
-            assert len(ds.split.train) == int(n * 0.7)
-            ts = [s.target_ts_ms for s in ds.split.train + ds.split.val + ds.split.test]
+            n = sum(len(getattr(ds, p)) for p in ("train", "val", "test"))
+            assert len(ds.train) == int(n * 0.7)
+            ts = _all_rows(ds).target_ts_ms.tolist()
             assert ts == sorted(ts)
-            Xtr, ytr = ds.arrays("train")
+            Xtr, ytr = ds.train.X, ds.train.y
             assert np.all(ytr >= 0.0) and np.all(ytr <= 1.0)
             assert np.all(Xtr >= -1e-12) and np.all(Xtr <= 1.0 + 1e-12)
-            for s in ds.split.train:
-                assert s.inputs.shape == (5, 6)
+            assert Xtr.shape[1:] == (5, 6)
 
 
 class TestDatasetIO:
@@ -346,13 +377,12 @@ class TestDatasetIO:
         assert (meta["context_len"], meta["horizon"]) == (CONTEXT_LEN, HORIZON)
         assert meta["feature_order"] == list(FEATURE_NAMES)
         for part in ("train", "val", "test"):
-            a, b = getattr(small_dataset.split, part), getattr(back.split, part)
+            a, b = getattr(small_dataset, part), getattr(back, part)
             assert len(a) == len(b)
-            for sa, sb in zip(a, b):
-                assert np.array_equal(sa.inputs, sb.inputs)
-                assert sa.target == sb.target
-                assert sa.origin == sb.origin
-                assert sa.target_ts_ms == sb.target_ts_ms
+            assert np.array_equal(a.X, b.X)
+            assert np.array_equal(a.y, b.y)
+            assert a.origin == b.origin
+            assert np.array_equal(a.target_ts_ms, b.target_ts_ms)
 
     def test_dropped_windows_survive_round_trip(self, tmp_path):
         keep = [i for i in range(600) if not (300 <= i < 303)]
@@ -376,8 +406,58 @@ class TestDatasetIO:
             load_dataset(tmp_path)
 
     def test_empty_part_arrays(self, small_dataset, tmp_path):
-        save_dataset(small_dataset, tmp_path)
+        save_dataset(replace(small_dataset, val=small_dataset.val[:0]), tmp_path)
         ds = load_dataset(tmp_path)
-        ds.split.val = []
-        X, y = ds.arrays("val")
+        X, y = ds.val.X, ds.val.y
         assert X.shape == (0, 5, 6) and y.shape == (0,)
+
+    def test_files_round_trip_byte_for_byte(self, small_dataset, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        save_dataset(small_dataset, first)
+        save_dataset(load_dataset(first), again)
+        for name in DATASET_FILES:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_stored_end_times_are_the_last_targets(self, small_dataset, tmp_path):
+        save_dataset(small_dataset, tmp_path)
+        meta = json.loads((tmp_path / "dataset.json").read_text())
+        assert meta["train_end_ts_ms"] == small_dataset.train.target_ts_ms[-1]
+        assert meta["val_end_ts_ms"] == small_dataset.val.target_ts_ms[-1]
+        assert meta["counts"] == {p: len(getattr(small_dataset, p))
+                                  for p in ("train", "val", "test")}
+
+    @pytest.mark.parametrize("key,value", [("counts", {"train": 1, "val": 1, "test": 1}),
+                                           ("train_end_ts_ms", 0), ("val_end_ts_ms", -1)])
+    def test_load_rejects_counts_or_ends_the_splits_contradict(
+            self, small_dataset, tmp_path, key, value):
+        save_dataset(small_dataset, tmp_path)
+        meta_path = tmp_path / "dataset.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ShapeMismatch, match=f"dataset.json: {key} is"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("inputs", [[[0.0] * 6] * 4, [[0.0] * 5] * 5,
+                                        [[0.0] * 6] * 4 + [[0.0] * 5]])
+    def test_load_rejects_inputs_of_another_shape(self, small_dataset, tmp_path, inputs):
+        save_dataset(small_dataset, tmp_path)
+        path = tmp_path / "test.ndjson"
+        rows = path.read_text().splitlines()
+        row = json.loads(rows[1])
+        row["inputs"] = inputs
+        rows[1] = json.dumps(row)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ShapeMismatch, match=f"{path} line 2: "):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", DATASET_FILES)
+    def test_json_syntax_error_names_the_file(self, small_dataset, tmp_path, name):
+        save_dataset(small_dataset, tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = lines[0][:40] + "\n"  # truncated: a whole file, or a split's first row
+        path.write_text(lines[0] if name.endswith(".json") else "".join(lines))
+        where = f"{path} line 1" if name.endswith(".ndjson") else str(path)
+        with pytest.raises(ShapeMismatch, match=f"{re.escape(where)}: malformed"):
+            load_dataset(tmp_path)

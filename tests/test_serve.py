@@ -28,9 +28,7 @@ POLICY = FeedbackPolicy(alert_threshold=50.0, reduce_bitrate_threshold=70.0,
 
 def _scaler():
     return ScalerStats(mins=np.zeros(6),
-                       maxs=np.array([50.0, 100.0, 0.05, 500.0, 80.0, 100.0]),
-                       target_min=0.0, target_max=100.0,
-                       degenerate=np.zeros(6, dtype=bool))
+                       maxs=np.array([50.0, 100.0, 0.05, 500.0, 80.0, 100.0]))
 
 
 def _lv_bundle():

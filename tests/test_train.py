@@ -228,14 +228,13 @@ class TestNeuralTraining:
         # poisoned inputs turn into NaN activations (relu would mask them,
         # elu propagates) and the loss guard must trip on the first batch
         ds = _fresh_copy(small_dataset, tmp_path, "doctored")
-        for s in ds.split.train:
-            s.inputs[:] = np.inf
+        ds.train.X[:] = np.inf
         with pytest.raises(DivergedLoss):
             train_variant("dnn_elu", ds, TrainConfig(seed=0, max_epochs=2))
 
     def test_empty_val_split_rejected(self, small_dataset, tmp_path):
         ds = _fresh_copy(small_dataset, tmp_path, "noval")
-        ds.split.val = []
+        ds.val = ds.val[:0]
         with pytest.raises(EmptySplit):
             train_neural(build_variant("dnn_basic"), ds, TrainConfig(seed=0, max_epochs=1))
 
@@ -372,7 +371,7 @@ class TestSolvers:
 class TestFitLinear:
     def test_lin_basic_is_ols(self, small_dataset):
         bundle, history = fit_linear("lin_basic", small_dataset, TrainConfig(seed=0))
-        X, y = small_dataset.arrays("train")
+        X, y = small_dataset.train.X, small_dataset.train.y
         w, b = solve_ols(X.reshape(len(X), -1), y)
         assert bundle.params["weights"][:, 0] == pytest.approx(w, abs=1e-6)
         assert bundle.params["bias"][0] == pytest.approx(b, abs=1e-6)
@@ -389,7 +388,7 @@ class TestFitLinear:
 
     def test_empty_train_rejected(self, small_dataset, tmp_path):
         ds = _fresh_copy(small_dataset, tmp_path, "notrain")
-        ds.split.train = []
+        ds.train = ds.train[:0]
         with pytest.raises(EmptySplit):
             fit_linear("lin_basic", ds, TrainConfig(seed=0))
 
@@ -418,7 +417,7 @@ class TestRunAll:
 
     def test_failures_recorded_not_fatal(self, small_dataset, tmp_path):
         ds = _fresh_copy(small_dataset, tmp_path, "noval")
-        ds.split.val = []
+        ds.val = ds.val[:0]
         out = tmp_path / "models"
         outcomes = run_all_variants(ds, TrainConfig(seed=5, max_epochs=1), out)
         by_id = {o.variant_id: o for o in outcomes}

@@ -237,9 +237,8 @@ def _make_bundle(vid="gru_basic", seed=0, meta=None):
     model = build_variant(vid)
     params = {k: np.asarray(v, dtype=np.float32)
               for k, v in model.init_params(seed).items()}
-    scaler = ScalerStats(mins=np.zeros(6), maxs=np.ones(6) * 50.0,
-                         target_min=0.0, target_max=100.0,
-                         degenerate=np.zeros(6, dtype=bool))
+    scaler = ScalerStats(mins=np.zeros(6),
+                         maxs=np.array([50.0, 50.0, 50.0, 50.0, 50.0, 100.0]))
     return ModelBundle(variant_id=vid, window_s=10, scaler=scaler,
                        params=params, meta=meta or {"val_mae": 0.05})
 
