@@ -135,9 +135,10 @@ class ScalerMissing(QoecastError):
 
 # ---------------------------------------------------- bundle and dataset files
 
-def malformed(source, exc: KeyError | TypeError | ValueError) -> ShapeMismatch:
+def malformed(source, exc: KeyError | TypeError | ValueError | OverflowError) -> ShapeMismatch:
     """The error for a JSON document, read from `source`, that lacks a key
-    (KeyError), holds a wrong type (TypeError) or does not parse (ValueError)."""
+    (KeyError), holds a wrong type (TypeError), does not parse (ValueError)
+    or holds an integer past the float range (OverflowError)."""
     if isinstance(exc, KeyError):
         return ShapeMismatch(f"{source}: no {exc.args[0]!r} key")
     return ShapeMismatch(f"{source}: malformed ({exc})")

@@ -170,9 +170,10 @@ def scale_features(stats: ScalerStats, raw: np.ndarray) -> np.ndarray:
     """Min-max scale raw feature rows (..., 6). Never clamped: values outside
     the fitted range scale past [0, 1], which is intentional for test data."""
     raw = np.asarray(raw, dtype=np.float64)
-    span = np.where(stats.degenerate, 1.0, stats.maxs - stats.mins)
+    degenerate = stats.degenerate
+    span = np.where(degenerate, 1.0, stats.maxs - stats.mins)
     scaled = (raw - stats.mins) / span
-    return np.where(stats.degenerate, 0.0, scaled)
+    return np.where(degenerate, 0.0, scaled)
 
 
 def inverse_target(stats: ScalerStats, scaled: float | np.ndarray):
@@ -342,11 +343,13 @@ def _load_part(path: Path) -> SplitArrays:
                 ys.append(float(d["target"]))
                 origins.append((d["origin"][0], int(d["origin"][1])))
                 stamps.append(int(d["target_ts_ms"]))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise malformed(where, exc) from None
             if x.shape != (CONTEXT_LEN, N_FEATURES):
                 raise ShapeMismatch(f"{where}: inputs have shape {x.shape}, "
                                     f"the model zoo takes {(CONTEXT_LEN, N_FEATURES)}")
+            if not (np.isfinite(x).all() and np.isfinite(ys[-1])):
+                raise ShapeMismatch(f"{where}: inputs and target must be finite")
             xs.append(x)
     return SplitArrays(X=np.array(xs).reshape(-1, CONTEXT_LEN, N_FEATURES),
                        y=np.array(ys, dtype=np.float64), origin=origins,
@@ -357,8 +360,8 @@ def load_dataset(in_dir: str | Path) -> PreparedDataset:
     """Read a dataset written by save_dataset. A geometry other than the
     fixed protocol raises ShapeMismatch naming the field, before any model
     sees the data; so does a syntax error, a missing key, a value of the wrong
-    JSON type or a count or end time the splits contradict, naming the file
-    and, in a split, the line."""
+    JSON type, a non-finite split value or a count or end time the splits
+    contradict, naming the file and, in a split, the line."""
     src = Path(in_dir)
     meta_path, scaler_path = src / "dataset.json", src / "scaler.json"
     meta = load_json(meta_path.read_text(encoding="utf-8"), meta_path)

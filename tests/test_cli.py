@@ -338,6 +338,25 @@ class TestExitCodes:
         assert main(["benchmark", "--data", str(ds), "--run", str(flow / "run")]) == 2
         assert f"ShapeMismatch: {where}: no '{key}' key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("target", 10 ** 400), ("target", float("inf")), ("inputs", float("nan"))],
+        ids=["int past float range", "inf target", "nan input"])
+    def test_non_finite_split_value_is_data_error(self, flow, tmp_path, capsys,
+                                                  field, value):
+        # such a row used to reach the metrics and end in an internal error
+        ds = tmp_path / "ds"
+        shutil.copytree(flow / "ds", ds)
+        rows = (ds / "test.ndjson").read_text().splitlines()
+        row = json.loads(rows[2])
+        if field == "inputs":
+            row["inputs"][4][0] = value
+        else:
+            row["target"] = value
+        rows[2] = json.dumps(row)
+        (ds / "test.ndjson").write_text("\n".join(rows) + "\n")
+        assert main(["benchmark", "--data", str(ds), "--run", str(flow / "run")]) == 2
+        assert f"ShapeMismatch: {ds / 'test.ndjson'} line 3: " in capsys.readouterr().err
+
     def test_bundle_scaler_with_three_mins_fails_at_load(self, tmp_path, capsys):
         doc = json.loads(LASTVALUE.read_text())
         doc["scaler"]["mins"] = doc["scaler"]["mins"][:3]
