@@ -30,12 +30,12 @@ from .evaluation import (
     rank_variants,
     write_metrics_csv,
 )
-from .explain import attention_map, integrated_gradients, lime_local
+from .explain import IG_STEPS, attention_map, integrated_gradients, lime_local
 from .pipeline import PARTS, build_dataset, load_dataset, save_dataset
 from .seeding import derive_seed
 from .serve import FeedbackPolicy, run_stream
 from .synthgen import GeneratorConfig, generate_trace
-from .telemetry import DEFAULT_WINDOW_S, load_trace, write_trace
+from .telemetry import WINDOW_S, load_trace, write_trace
 from .train import (
     TrainConfig,
     VariantOutcome,
@@ -43,7 +43,7 @@ from .train import (
     run_all_variants,
     train_and_save,
 )
-from .zoo import ALL_VARIANTS, load_bundle
+from .zoo import ALL_VARIANTS, BundleRunner, load_bundle
 
 
 class UsageError(Exception):
@@ -85,14 +85,13 @@ def cmd_generate(args) -> int:
         cfg = GeneratorConfig(
             seed=derive_seed(args.seed, f"trace:{i}"),
             duration_s=args.duration,
-            window_s=args.window_s,
             trace_id=f"trace_{i:02d}",
         )
         trace = generate_trace(cfg)
         trace_path = out / f"trace_{i:02d}.{args.format}"  # the suffix names the format
         labels_path = out / f"labels_{i:02d}.csv"
         write_trace(trace, trace_path, labels_path=labels_path,
-                    inband_qoe=args.inband_qoe, window_s=args.window_s)
+                    inband_qoe=args.inband_qoe)
         artifacts += [trace_path.name, labels_path.name]
     _write_manifest(out, "generate", args, args.seed, artifacts)
     print(f"wrote {args.traces} trace(s) of {args.duration} s to {out}")
@@ -112,7 +111,7 @@ def _load_traces(data_dir: Path):
 
 def cmd_prepare(args) -> int:
     traces = _load_traces(Path(args.data))
-    ds = build_dataset(traces, window_s=args.window_s)
+    ds = build_dataset(traces)
     out = Path(args.out)
     save_dataset(ds, out)
     _write_manifest(out, "prepare", args, None,
@@ -152,8 +151,6 @@ def cmd_train(args) -> int:
                 f"epochs={o.bundle.meta['epochs']}")
             print(f"{o.variant_id:16s} {line}")
         return 0 if not failed else 2
-    if args.variant is None:
-        raise UsageError("train: pass --variant <id> or --all")
     o = train_and_save(args.variant, ds, config, out)
     _write_manifest(out, "train", args, args.seed,
                     [f"{args.variant}.bundle.json", f"{args.variant}.history.csv"],
@@ -200,8 +197,8 @@ def cmd_benchmark(args) -> int:
     if "gru_basic" in by_id:
         budget = LatencyBudget(by_id["gru_basic"].latency.mean_ms)
         print(f"latency budget with gru_basic inference: total "
-              f"{budget.total_ms:.1f} ms, margin {budget.margin_ms(ds.window_s):.1f} ms "
-              f"at the {ds.window_s} s horizon")
+              f"{budget.total_ms:.1f} ms, margin {budget.margin_ms(WINDOW_S):.1f} ms "
+              f"at the {WINDOW_S} s horizon")
     return 0
 
 
@@ -214,13 +211,14 @@ def cmd_explain(args) -> int:
         raise UsageError(f"--index {args.index} outside {args.part} split "
                          f"of {len(part)} sequences")
     x = part.X[args.index]
+    runner = BundleRunner(bundle)
     doc: dict = {
         "variant_id": bundle.variant_id,
         "method": args.method,
         "origin": list(part.origin[args.index]),
     }
     if args.method == "ig":
-        att = integrated_gradients(bundle, x, steps=args.steps)
+        att = integrated_gradients(runner, x, steps=args.steps)
         doc.update({
             "prediction": att.prediction,
             "baseline_prediction": att.baseline_prediction,
@@ -230,13 +228,13 @@ def cmd_explain(args) -> int:
                       for w, f, v in att.top_k(3)],
         })
     elif args.method == "attention":
-        amap = attention_map(bundle, x)
+        amap = attention_map(runner, x)
         doc.update({
             "prediction": amap.prediction,
             "weights": np.asarray(amap.weights).tolist(),
         })
     else:  # lime
-        sur = lime_local(bundle, x, seed=args.seed)
+        sur = lime_local(runner, x, seed=args.seed)
         doc.update({
             "intercept": sur.intercept,
             "r_squared": sur.r_squared,
@@ -263,8 +261,7 @@ def cmd_serve(args) -> int:
     outstream = sys.stdout if args.out == "-" else Path(args.out).open("w", encoding="utf-8")
     try:
         summary = run_stream(bundle, policy, instream, outstream,
-                             explain_on_alert=args.explain_on_alert,
-                             tick_s=args.tick_s)
+                             explain_on_alert=args.explain_on_alert)
     finally:
         if args.input != "-":
             instream.close()
@@ -285,8 +282,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("generate", parents=[], help="synthesize labeled traces")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--traces", type=int, default=1)
-    g.add_argument("--duration", type=int, default=600, help="seconds per trace")
-    g.add_argument("--window-s", type=int, default=DEFAULT_WINDOW_S, dest="window_s")
+    g.add_argument("--duration", type=int, default=GeneratorConfig.duration_s,
+                   help="seconds per trace")
     g.add_argument("--format", choices=["csv", "ndjson"], default="csv")
     g.add_argument("--inband-qoe", action="store_true",
                    help="embed window labels as per-tick qoe values")
@@ -295,16 +292,17 @@ def build_parser() -> _Parser:
 
     pr = sub.add_parser("prepare", help="window, scale and split traces")
     pr.add_argument("--data", required=True, help="directory with trace_*/labels_* files")
-    pr.add_argument("--window-s", type=int, default=DEFAULT_WINDOW_S, dest="window_s")
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_prepare)
 
     t = sub.add_parser("train", help="fit one variant or all of them")
     t.add_argument("--data", required=True, help="prepared dataset directory")
-    t.add_argument("--variant", choices=list(ALL_VARIANTS))
-    t.add_argument("--all", action="store_true")
+    which = t.add_mutually_exclusive_group(required=True)
+    which.add_argument("--variant", choices=list(ALL_VARIANTS))
+    which.add_argument("--all", action="store_true")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--max-epochs", type=int, default=200, dest="max_epochs")
+    t.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs,
+                   dest="max_epochs")
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 
@@ -320,7 +318,7 @@ def build_parser() -> _Parser:
     x.add_argument("--part", choices=PARTS, default="test")
     x.add_argument("--index", type=int, default=0)
     x.add_argument("--method", choices=["ig", "attention", "lime"], default="ig")
-    x.add_argument("--steps", type=int, default=64)
+    x.add_argument("--steps", type=int, default=IG_STEPS)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--out")
     x.set_defaults(func=cmd_explain)
@@ -329,10 +327,11 @@ def build_parser() -> _Parser:
     s.add_argument("--bundle", required=True)
     s.add_argument("--input", default="-", help="NDJSON file or - for stdin")
     s.add_argument("--out", default="-", help="NDJSON file or - for stdout")
-    s.add_argument("--policy-alert", type=float, default=50.0, dest="policy_alert")
-    s.add_argument("--policy-bitrate", type=float, default=70.0, dest="policy_bitrate")
-    s.add_argument("--hysteresis", type=float, default=3.0)
-    s.add_argument("--tick-s", type=float, default=1.0, dest="tick_s")
+    s.add_argument("--policy-alert", type=float, default=FeedbackPolicy.alert_threshold,
+                   dest="policy_alert")
+    s.add_argument("--policy-bitrate", type=float,
+                   default=FeedbackPolicy.reduce_bitrate_threshold, dest="policy_bitrate")
+    s.add_argument("--hysteresis", type=float, default=FeedbackPolicy.hysteresis)
     s.add_argument("--explain-on-alert", action="store_true", dest="explain_on_alert")
     s.set_defaults(func=cmd_serve)
     return p

@@ -1,10 +1,11 @@
 """Prediction explanations: integrated gradients, attention maps, and a
 local linear surrogate.
 
-All methods work on one scaled (5, 6) context and run the bundle through
-a zoo.BundleRunner. Attributions are reported per (window, feature) cell in
-prediction units; for integrated gradients the cells sum to the prediction
-difference against the baseline up to a reported completeness gap.
+All methods work on one scaled (5, 6) context and run on the caller's
+zoo.BundleRunner, so a caller that explains many inputs builds it once.
+Attributions are reported per (window, feature) cell in prediction units;
+for integrated gradients the cells sum to the prediction difference against
+the baseline up to a reported completeness gap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import NoAttentionComponent, ShapeMismatch
 from .pipeline import CONTEXT_LEN, FEATURE_NAMES, N_FEATURES
-from .zoo import BundleRunner, ModelBundle
+from .zoo import BundleRunner
 
 IG_STEPS = 64
 LIME_SAMPLES = 500
@@ -54,7 +55,7 @@ class Attribution:
         return out
 
 
-def integrated_gradients(bundle: ModelBundle, x: np.ndarray,
+def integrated_gradients(runner: BundleRunner, x: np.ndarray,
                          baseline: np.ndarray | None = None,
                          steps: int = IG_STEPS) -> Attribution:
     """Path-integrated input gradients from a baseline to x.
@@ -69,7 +70,6 @@ def integrated_gradients(bundle: ModelBundle, x: np.ndarray,
         raise ValueError("steps must be positive")
     x = _check_input(x)
     baseline = np.zeros_like(x) if baseline is None else _check_input(baseline)
-    runner = BundleRunner(bundle)
     diff = x - baseline
 
     both, _ = runner.predict(np.stack([x, baseline]))
@@ -84,7 +84,7 @@ def integrated_gradients(bundle: ModelBundle, x: np.ndarray,
         values = runner.input_gradients(points).mean(axis=0) * diff
         method = "integrated_gradients"
     gap = abs(float(values.sum()) - (pred - base_pred))
-    return Attribution(bundle.variant_id, method, values, pred, base_pred, gap, steps)
+    return Attribution(runner.bundle.variant_id, method, values, pred, base_pred, gap, steps)
 
 
 @dataclass
@@ -101,14 +101,14 @@ class AttentionMap:
     prediction: float
 
 
-def attention_map(bundle: ModelBundle, x: np.ndarray) -> AttentionMap:
+def attention_map(runner: BundleRunner, x: np.ndarray) -> AttentionMap:
     x = _check_input(x)
-    runner = BundleRunner(bundle)
+    variant_id = runner.bundle.variant_id
     if not runner.model.has_attention:
         raise NoAttentionComponent(
-            f"{bundle.variant_id} ({runner.model.model_class}) has no attention weights")
+            f"{variant_id} ({runner.model.model_class}) has no attention weights")
     pred, aux = runner.predict(x[None])
-    return AttentionMap(bundle.variant_id, aux["attention"][0], float(pred[0]))
+    return AttentionMap(variant_id, aux["attention"][0], float(pred[0]))
 
 
 @dataclass
@@ -124,7 +124,7 @@ class LocalSurrogate:
         return self.coefficients.reshape(-1, len(FEATURE_NAMES))
 
 
-def lime_local(bundle: ModelBundle, x: np.ndarray, seed: int = 0) -> LocalSurrogate:
+def lime_local(runner: BundleRunner, x: np.ndarray, seed: int = 0) -> LocalSurrogate:
     """Fit a distance-weighted linear surrogate to the model around x.
 
     LIME_SAMPLES perturbations add Gaussian noise of scale LIME_SIGMA to
@@ -138,7 +138,7 @@ def lime_local(bundle: ModelBundle, x: np.ndarray, seed: int = 0) -> LocalSurrog
     flat = x.reshape(-1)
     d = flat.size
     Z = flat[None, :] + rng.normal(0.0, LIME_SIGMA, size=(LIME_SAMPLES, d))
-    y, _ = BundleRunner(bundle).predict(Z.reshape(LIME_SAMPLES, *x.shape))
+    y, _ = runner.predict(Z.reshape(LIME_SAMPLES, *x.shape))
 
     dist2 = np.sum((Z - flat[None, :]) ** 2, axis=1)
     weights = np.exp(-dist2 / (LIME_KERNEL_WIDTH ** 2))
@@ -158,7 +158,7 @@ def lime_local(bundle: ModelBundle, x: np.ndarray, seed: int = 0) -> LocalSurrog
     ss_tot = float(weights @ ((y - ym) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return LocalSurrogate(
-        variant_id=bundle.variant_id,
+        variant_id=runner.bundle.variant_id,
         coefficients=coef,
         intercept=intercept,
         r_squared=r2,

@@ -29,7 +29,7 @@ from .errors import (
     malformed,
 )
 from .synthgen import window_qoe
-from .telemetry import DEFAULT_WINDOW_S, MIN_WINDOW_COVERAGE, Trace, WindowAggregator
+from .telemetry import MIN_WINDOW_COVERAGE, WINDOW_MS, WINDOW_S, Trace, WindowAggregator
 
 FEATURE_NAMES = (
     "thr_mean_mbps",
@@ -67,7 +67,7 @@ class WindowingResult:
     dropped: list[tuple[int, str]]  # (window_index, reason)
 
 
-def window_trace(trace: Trace, window_s: int = DEFAULT_WINDOW_S) -> WindowingResult:
+def window_trace(trace: Trace) -> WindowingResult:
     """Aggregate a trace into consecutive windows with the shared
     telemetry.WindowAggregator, the rule serve applies live.
 
@@ -81,7 +81,7 @@ def window_trace(trace: Trace, window_s: int = DEFAULT_WINDOW_S) -> WindowingRes
     windows: list[WindowFeatures] = []
     dropped: list[tuple[int, str]] = []
     prev_qoe: float | None = None
-    for win in WindowAggregator(window_s, trace.tick_s).windows(trace.samples):
+    for win in WindowAggregator().windows(trace.samples):
         if win.skipped:
             dropped.append((win.index - win.skipped, f"{win.skipped} empty"))
         if win.dropped is not None:
@@ -213,19 +213,18 @@ class SplitArrays:
 
 @dataclass
 class PreparedDataset:
-    """Everything a model needs: the three parts of the split, the scaler
-    they were scaled with, and the window length. The context, horizon and
-    feature order are the module's fixed protocol."""
+    """Everything a model needs: the three parts of the split and the scaler
+    they were scaled with. The window length, context, horizon and feature
+    order are the fixed protocol."""
 
     train: SplitArrays
     val: SplitArrays
     test: SplitArrays
     scaler: ScalerStats
-    window_s: int = DEFAULT_WINDOW_S
     dropped_windows: list[tuple[str, int, str]] = field(default_factory=list)
 
 
-def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> PreparedDataset:
+def build_dataset(traces: list[Trace]) -> PreparedDataset:
     """Window traces, split chronologically, fit the scaler on training
     windows only, and emit scaled sequences.
 
@@ -242,7 +241,6 @@ def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> Prep
     """
     if not traces:
         raise InsufficientData("no traces given")
-    window_ms = window_s * 1000
     need = CONTEXT_LEN + HORIZON
 
     per_trace: list[list[WindowFeatures]] = []
@@ -251,7 +249,7 @@ def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> Prep
     too_short: list[tuple[str, int]] = []
     offset = 0
     for slot, tr in enumerate(traces):
-        res = window_trace(tr, window_s)
+        res = window_trace(tr)
         windows = res.windows
         per_trace.append(windows)
         dropped.extend((tr.trace_id, w, why) for w, why in res.dropped)
@@ -259,10 +257,10 @@ def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> Prep
         for i in range(len(windows) - need + 1):
             # consecutive indices only: no dropped window inside the span
             if windows[i + need - 1].window_index - windows[i].window_index == need - 1:
-                starts.append((offset + windows[i + need - 1].window_index * window_ms, slot, i))
+                starts.append((offset + windows[i + need - 1].window_index * WINDOW_MS, slot, i))
         if len(starts) == found:
             too_short.append((tr.trace_id, len(windows)))
-        offset += (tr.samples[-1].ts_ms // window_ms + 1) * window_ms
+        offset += (tr.samples[-1].ts_ms // WINDOW_MS + 1) * WINDOW_MS
     if len(starts) < MIN_SEQUENCES:
         raise TooFewSequences(
             f"got {len(starts)} sequences across {len(traces)} traces, "
@@ -292,7 +290,7 @@ def build_dataset(traces: list[Trace], window_s: int = DEFAULT_WINDOW_S) -> Prep
     )
     return PreparedDataset(train=every[:n_train], val=every[n_train : n_train + n_val],
                            test=every[n_train + n_val :], scaler=scaler,
-                           window_s=window_s, dropped_windows=dropped)
+                           dropped_windows=dropped)
 
 
 # ----------------------------------------------------------------- dataset IO
@@ -311,7 +309,7 @@ def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
     (out / "scaler.json").write_text(
         json.dumps(ds.scaler.to_dict(), indent=2) + "\n", encoding="utf-8")
     (out / "dataset.json").write_text(json.dumps({
-        "window_s": ds.window_s,
+        "window_s": WINDOW_S,
         "context_len": CONTEXT_LEN,
         "horizon": HORIZON,
         "feature_order": list(FEATURE_NAMES),
@@ -365,14 +363,13 @@ def load_dataset(in_dir: str | Path) -> PreparedDataset:
     src = Path(in_dir)
     meta_path, scaler_path = src / "dataset.json", src / "scaler.json"
     meta = load_json(meta_path.read_text(encoding="utf-8"), meta_path)
-    fixed = {"context_len": CONTEXT_LEN, "horizon": HORIZON,
+    fixed = {"window_s": WINDOW_S, "context_len": CONTEXT_LEN, "horizon": HORIZON,
              "feature_order": list(FEATURE_NAMES)}
     try:
         for key, want in fixed.items():
             if meta[key] != want:
                 raise ShapeMismatch(f"{meta_path}: {key} is {meta[key]!r}, "
                                     f"the model zoo takes {want!r}")
-        window_s = int(meta["window_s"])
         dropped = [tuple(d) for d in meta.get("dropped_windows", [])]
         stored = {key: meta[key] for key in ("counts", "train_end_ts_ms", "val_end_ts_ms")}
     except (KeyError, TypeError) as exc:
@@ -380,7 +377,7 @@ def load_dataset(in_dir: str | Path) -> PreparedDataset:
     scaler_doc = load_json(scaler_path.read_text(encoding="utf-8"), scaler_path)
     ds = PreparedDataset(**{name: _load_part(src / f"{name}.ndjson") for name in PARTS},
                          scaler=ScalerStats.from_dict(scaler_doc, scaler_path),
-                         window_s=window_s, dropped_windows=dropped)
+                         dropped_windows=dropped)
     for key, want in _split_facts(ds).items():
         if stored[key] != want:
             raise ShapeMismatch(f"{meta_path}: {key} is {stored[key]!r}, "

@@ -29,8 +29,8 @@ from .errors import OutOfOrderSample, QoecastError, ScalerMissing
 from .explain import integrated_gradients
 from .pipeline import CONTEXT_LEN, inverse_target, scale_features
 from .synthgen import window_qoe
-from .telemetry import (TelemetrySample, Window, WindowAggregator, _parse_record,
-                        decode_json_line)
+from .telemetry import (WINDOW_MS, WINDOW_S, TelemetrySample, Window, WindowAggregator,
+                        _parse_record, decode_json_line)
 from .zoo import BundleRunner, ModelBundle
 
 ACTIONS = ("none", "reduce_bitrate", "alert")
@@ -121,16 +121,13 @@ class StreamStats:
 class StreamState:
     """Incremental forecasting state over one telemetry stream."""
 
-    def __init__(self, bundle: ModelBundle, policy: FeedbackPolicy,
-                 tick_s: float = 1.0):
+    def __init__(self, bundle: ModelBundle, policy: FeedbackPolicy):
         if bundle.scaler is None:
             raise ScalerMissing("bundle carries no scaler statistics")
         self.bundle = bundle
         self.policy = policy
-        self.tick_s = tick_s
         self.runner = BundleRunner(bundle)
-        self.window_ms = bundle.window_s * 1000
-        self._windows = WindowAggregator(bundle.window_s, tick_s)
+        self._windows = WindowAggregator()
         self._ring: deque[np.ndarray] = deque(maxlen=CONTEXT_LEN)
         self._last_ts: int | None = None
         self._prev_window_qoe: float | None = None
@@ -188,8 +185,8 @@ class StreamState:
         self.stats.forecasts += 1
         self.stats.actions[action] += 1
         return ForecastDecision(
-            ts_ms=(window_index + 1) * self.window_ms,
-            horizon_s=self.bundle.window_s,
+            ts_ms=(window_index + 1) * WINDOW_MS,
+            horizon_s=WINDOW_S,
             qoe_pred=pred,
             action=action,
             inputs_scaled=scaled,
@@ -204,7 +201,6 @@ def run_stream(
     instream: IO[str] | IO[bytes] | Iterable[str | bytes],
     outstream: IO[str],
     explain_on_alert: bool = False,
-    tick_s: float = 1.0,
     clock: Callable[[], float] = time.perf_counter,
 ) -> dict:
     """Consume NDJSON telemetry, emit NDJSON decisions, return a summary.
@@ -218,12 +214,12 @@ def run_stream(
     shortest round-trip formatting, so equal predictions give byte-equal
     output.
     """
-    state = StreamState(bundle, policy, tick_s=tick_s)
+    state = StreamState(bundle, policy)
     record_no = 0
 
     def emit(decision: ForecastDecision, t0: float) -> None:
         if explain_on_alert and decision.action == "alert":
-            attribution = integrated_gradients(bundle, decision.inputs_scaled)
+            attribution = integrated_gradients(state.runner, decision.inputs_scaled)
             decision.explain = [
                 {"window": w, "feature": f, "attribution": v}
                 for w, f, v in attribution.top_k(EXPLAIN_TOP_K)

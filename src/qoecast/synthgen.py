@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import InvalidConfig, SpanOutOfRange
 from .seeding import derive_seed
-from .telemetry import DEFAULT_WINDOW_S, TelemetrySample, Trace, Window, WindowAggregator
+from .telemetry import (TICK_S, WINDOW_MS, WINDOW_S, WINDOW_TICKS, TelemetrySample, Trace,
+                        Window, WindowAggregator)
 
 # Oracle constants. thr saturates at 25 Mbps; loss is penalized per percent;
 # jitter is free below 20 ms. Smoothing leans 70/30 toward the current window.
@@ -128,27 +129,20 @@ TRANSITION_WEIGHTS: dict[str, dict[str, float]] = {
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """One synthetic trace: its seed, length, tick, window and id.
+    """One synthetic trace: its seed, length and id.
 
     duration_s must cover at least one whole window so a label exists.
     """
 
     seed: int = 0
     duration_s: int = 600
-    tick_s: float = 1.0
-    window_s: int = DEFAULT_WINDOW_S
     trace_id: str = ""
 
     def validate(self) -> None:
-        if self.duration_s < self.window_s:
+        if self.duration_s < WINDOW_S:
             raise InvalidConfig(
-                f"duration_s={self.duration_s} shorter than one {self.window_s} s window"
+                f"duration_s={self.duration_s} shorter than one {WINDOW_S} s window"
             )
-        if self.tick_s <= 0 or self.window_s <= 0:
-            raise InvalidConfig("tick_s and window_s must be positive")
-        if EPISODE_MEAN_LEN_S <= self.tick_s:
-            raise InvalidConfig(
-                f"tick_s={self.tick_s} not shorter than the {EPISODE_MEAN_LEN_S} s mean episode")
 
 
 def transition_row(current: str, speed_kmh: float) -> dict[str, float]:
@@ -175,14 +169,14 @@ def transition_row(current: str, speed_kmh: float) -> dict[str, float]:
     return row
 
 
-def _draw_dwell_ticks(rng: np.random.Generator, tick_s: float) -> int:
+def _draw_dwell_ticks(rng: np.random.Generator) -> int:
     lo = EPISODE_MEAN_LEN_S * (1.0 - DWELL_JITTER_FRAC)
     hi = EPISODE_MEAN_LEN_S * (1.0 + DWELL_JITTER_FRAC)
-    return max(1, int(round(rng.uniform(lo, hi) / tick_s)))
+    return max(1, int(round(rng.uniform(lo, hi) / TICK_S)))
 
 
-def _draw_ticks(rng: np.random.Generator, tick_s: float, state: LinkState,
-                base: np.ndarray, n_ticks: int, speed_steps: int = 0):
+def _draw_ticks(rng: np.random.Generator, state: LinkState, base: np.ndarray,
+                n_ticks: int, speed_steps: int = 0):
     """Draw n_ticks ticks of one episode from one block of normals.
 
     Each tick draws loss, jitter and throughput, wiggled around the
@@ -200,8 +194,8 @@ def _draw_ticks(rng: np.random.Generator, tick_s: float, state: LinkState,
     block = 0.0 + block.reshape(n_ticks, width) * _TICK_SIGMAS[:width]
     loss_pct, jitter, thr = np.minimum(np.maximum(base + block[:, :3], state.lo), state.hi).T
     loss_rate = loss_pct / 100.0
-    # nominal 1000 packets/s link; Python ints, which no tick length overflows
-    loss_count = list(map(round, (loss_rate * 1000.0 * tick_s).tolist()))
+    # nominal 1000 packets/s link, as Python ints
+    loss_count = list(map(round, (loss_rate * 1000.0 * TICK_S).tolist()))
     steps = block[:speed_steps, 3].tolist() if speed_steps else []
     return thr.tolist(), jitter.tolist(), loss_rate.tolist(), loss_count, steps
 
@@ -222,20 +216,19 @@ def window_qoe(win: Window, prev_qoe: float | None, known: float | None,
     return qoe_oracle(thr, loss_rate * 100.0, jitter, prev_qoe)
 
 
-def _label_windows(samples: list[TelemetrySample], config: GeneratorConfig,
-                   noise_rng: np.random.Generator, start_window: int = 0,
-                   prev_qoe: float | None = None) -> list[tuple[int, float]]:
+def _label_windows(samples: list[TelemetrySample], noise_rng: np.random.Generator,
+                   start_window: int = 0, prev_qoe: float | None = None,
+                   ) -> list[tuple[int, float]]:
     """Label every whole window from start_window on, chaining the smoother.
 
     A window that is not whole (short, or with a non-finite mean) gets no
     label and is skipped, as is a missing one; the next whole window chains
     on the previous labelled one.
     """
-    agg = WindowAggregator(config.window_s, config.tick_s)
-    start_ms = start_window * agg.window_ms
+    start_ms = start_window * WINDOW_MS
     labels = []
-    for win in agg.windows(s for s in samples if s.ts_ms >= start_ms):
-        if win.ticks != agg.expected or win.dropped is not None:
+    for win in WindowAggregator().windows(s for s in samples if s.ts_ms >= start_ms):
+        if win.ticks != WINDOW_TICKS or win.dropped is not None:
             continue
         q = window_qoe(win, prev_qoe, None) + noise_rng.normal(0.0, LABEL_NOISE_SIGMA)
         q = min(max(q, 0.0), 100.0)
@@ -247,7 +240,7 @@ def _label_windows(samples: list[TelemetrySample], config: GeneratorConfig,
 def generate_trace(config: GeneratorConfig) -> Trace:
     """Generate one labeled trace, fully determined by config.seed."""
     config.validate()
-    n_ticks = int(round(config.duration_s / config.tick_s))
+    n_ticks = int(round(config.duration_s / TICK_S))
     walk_rng = np.random.default_rng(derive_seed(config.seed, "link-walk"))
     noise_rng = np.random.default_rng(derive_seed(config.seed, "label-noise"))
 
@@ -256,8 +249,8 @@ def generate_trace(config: GeneratorConfig) -> Trace:
     name = "good"
     state = LINK_STATES[name]
     base = walk_rng.uniform(state.lo, state.hi)
-    dwell = _draw_dwell_ticks(walk_rng, config.tick_s)
-    ts_ms = [round(i * config.tick_s * 1000.0) for i in range(n_ticks)]
+    dwell = _draw_dwell_ticks(walk_rng)
+    ts_ms = [i * TICK_S * 1000 for i in range(n_ticks)]
     samples: list[TelemetrySample] = []
     while len(samples) < n_ticks:
         # An episode's last tick makes the transition draws before its
@@ -265,11 +258,11 @@ def generate_trace(config: GeneratorConfig) -> Trace:
         k = min(dwell, n_ticks - len(samples))
         ends = k == dwell
         thr, jitter, loss_rate, loss_count, steps = _draw_ticks(
-            walk_rng, config.tick_s, state, base, k, k - 1 if ends else k)
+            walk_rng, state, base, k, k - 1 if ends else k)
         speeds = []
         for step in steps:
             speeds.append(speed)
-            speed = float(min(max(speed + step * config.tick_s, speed_lo), speed_hi))
+            speed = float(min(max(speed + step, speed_lo), speed_hi))
         if ends:
             speeds.append(speed)
             row = transition_row(name, speed)
@@ -277,23 +270,22 @@ def generate_trace(config: GeneratorConfig) -> Trace:
             name = str(walk_rng.choice(names, p=[row[n] for n in names]))
             state = LINK_STATES[name]
             base = walk_rng.uniform(state.lo, state.hi)
-            dwell = _draw_dwell_ticks(walk_rng, config.tick_s)
+            dwell = _draw_dwell_ticks(walk_rng)
             step = walk_rng.normal(0.0, SPEED_WALK_SIGMA_KMH)
-            speed = float(min(max(speed + step * config.tick_s, speed_lo), speed_hi))
+            speed = float(min(max(speed + step, speed_lo), speed_hi))
         samples += map(TelemetrySample, ts_ms[len(samples):len(samples) + k],
                        thr, jitter, loss_rate, loss_count, speeds)
 
-    labels = _label_windows(samples, config, noise_rng)
+    labels = _label_windows(samples, noise_rng)
     return Trace(
         samples=tuple(samples),
-        tick_s=config.tick_s,
         labels=tuple(labels),
         trace_id=config.trace_id or f"synth-{config.seed}",
     )
 
 
 def inject_episode(trace: Trace, start_s: float, length_s: float, state_name: str,
-                   seed: int, config: GeneratorConfig | None = None) -> Trace:
+                   seed: int) -> Trace:
     """Redraw a time span under a forced link state and relabel.
 
     Samples inside [start_s, start_s + length_s) get fresh impairment draws
@@ -304,7 +296,6 @@ def inject_episode(trace: Trace, start_s: float, length_s: float, state_name: st
     """
     if state_name not in LINK_STATES:
         raise InvalidConfig(f"unknown link state: {state_name}")
-    config = config if config is not None else GeneratorConfig(tick_s=trace.tick_s)
     if length_s < 0:
         raise SpanOutOfRange("length_s must be non-negative")
     if start_s < 0 or start_s + length_s > trace.duration_s:
@@ -323,21 +314,19 @@ def inject_episode(trace: Trace, start_s: float, length_s: float, state_name: st
     new_samples = list(trace.samples)
     if span:
         first, n = span[0], len(span)
-        thr, jitter, loss_rate, loss_count, _ = _draw_ticks(rng, config.tick_s, state, base, n)
+        thr, jitter, loss_rate, loss_count, _ = _draw_ticks(rng, state, base, n)
         new_samples[first:first + n] = [
             s._replace(throughput_mbps=t, jitter_ms=j, loss_rate=r, loss_count=c)
             for s, t, j, r, c in zip(trace.samples[first:], thr, jitter, loss_rate, loss_count)]
 
-    window_ms = config.window_s * 1000
-    first_affected = int(lo_ms // window_ms)
+    first_affected = int(lo_ms // WINDOW_MS)
     kept = tuple((w, q) for w, q in (trace.labels or ()) if w < first_affected)
     prev = kept[-1][1] if kept else None
     noise_rng = np.random.default_rng(derive_seed(seed, "inject-label-noise"))
-    recomputed = _label_windows(new_samples, config, noise_rng,
+    recomputed = _label_windows(new_samples, noise_rng,
                                 start_window=first_affected, prev_qoe=prev)
     return Trace(
         samples=tuple(new_samples),
-        tick_s=trace.tick_s,
         labels=kept + tuple(recomputed) if (trace.labels is not None) else None,
         trace_id=trace.trace_id,
     )

@@ -56,21 +56,17 @@ class TelemetrySample(NamedTuple):
 class Trace:
     """An ordered, strictly-monotonic series of samples with optional labels.
 
-    labels, when present, is a tuple of (window_index, qoe) pairs. The window
-    length is not stored here; operations that need it take it as a
-    parameter.
+    labels, when present, is a tuple of (window_index, qoe) pairs over
+    WINDOW_S windows.
     """
 
     samples: tuple[TelemetrySample, ...]
-    tick_s: float = 1.0
     labels: tuple[tuple[int, float], ...] | None = None
     trace_id: str = ""
 
     def __post_init__(self):
         if not self.samples:
             raise EmptyTrace("trace has no samples")
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
         isfinite = math.isfinite
         prev = None
         for s in self.samples:
@@ -95,7 +91,7 @@ class Trace:
     @property
     def duration_s(self) -> float:
         """Covered span in seconds, counting the final tick's full period."""
-        return (self.samples[-1].ts_ms / 1000.0) + self.tick_s
+        return (self.samples[-1].ts_ms / 1000.0) + TICK_S
 
     def label_map(self) -> dict[int, float]:
         return dict(self.labels) if self.labels else {}
@@ -103,7 +99,11 @@ class Trace:
 
 # ------------------------------------------------------------------ windows
 
-DEFAULT_WINDOW_S = 10
+# The fixed window protocol: 1 Hz ticks, summed into 10 s windows.
+TICK_S = 1
+WINDOW_S = 10
+WINDOW_MS = WINDOW_S * 1000
+WINDOW_TICKS = WINDOW_S // TICK_S  # the ticks of a whole window
 MIN_WINDOW_COVERAGE = 0.8
 
 
@@ -130,31 +130,24 @@ class WindowAggregator:
     """The window rule shared by label generation, dataset preparation and
     live serving.
 
-    Ticks, in timestamp order, fall into window ts_ms // window_ms and are
-    summed one by one. A window closes when it reaches its expected tick
-    count (window_s / tick_s) or when the first tick of a later window
-    arrives; ticks that land in a window already closed at its count are
-    ignored. A closed window is dropped when it holds fewer than 80 % of its
-    expected ticks, or when any link mean is not finite.
+    Ticks, in timestamp order, fall into window ts_ms // WINDOW_MS and are
+    summed one by one. A window closes when it reaches WINDOW_TICKS ticks
+    or when the first tick of a later window arrives; ticks that land in a
+    window already closed at its count are ignored. A closed window is
+    dropped when it holds fewer than 80 % of WINDOW_TICKS, or when any link
+    mean is not finite.
     """
 
-    __slots__ = ("window_ms", "expected", "_index", "_next", "_skipped", "_ticks",
-                 "_thr", "_jitter", "_loss_rate", "_loss_count", "_speed",
-                 "_qoe", "_qoe_ticks")
+    __slots__ = ("_index", "_next", "_skipped", "_ticks", "_thr", "_jitter", "_loss_rate",
+                 "_loss_count", "_speed", "_qoe", "_qoe_ticks")
 
-    def __init__(self, window_s: int, tick_s: float):
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        self.window_ms = window_s * 1000
-        self.expected = round(window_s / tick_s)
-        if self.expected < 1:
-            raise ValueError("window shorter than one tick")
+    def __init__(self):
         self._index: int | None = None  # open window
         self._next: int | None = None  # slot after the last closed window
 
     def add(self, s: TelemetrySample) -> tuple[Window, ...]:
         """Sum one tick; returns the windows it closes, usually none."""
-        w = s.ts_ms // self.window_ms
+        w = s.ts_ms // WINDOW_MS
         closed = ()
         if w != self._index:
             if self._next is not None and w < self._next:
@@ -176,7 +169,7 @@ class WindowAggregator:
         if s.qoe is not None:
             self._qoe += s.qoe
             self._qoe_ticks += 1
-        if self._ticks == self.expected:
+        if self._ticks == WINDOW_TICKS:
             return closed + (self._close(),)
         return closed
 
@@ -194,8 +187,8 @@ class WindowAggregator:
         n = self._ticks
         link = (self._thr / n, self._jitter / n, self._loss_rate / n,
                 self._loss_count, self._speed / n)
-        if n < MIN_WINDOW_COVERAGE * self.expected:
-            dropped = f"{n}/{self.expected} ticks"
+        if n < MIN_WINDOW_COVERAGE * WINDOW_TICKS:
+            dropped = f"{n}/{WINDOW_TICKS} ticks"
         elif not all(map(math.isfinite, link)):
             dropped = "non-finite"
         else:
@@ -368,11 +361,7 @@ def _ndjson_records(text: str) -> Iterator[tuple[int, dict]]:
         yield record_no, obj
 
 
-def load_trace(
-    path: str | Path,
-    labels_path: str | Path | None = None,
-    tick_s: float = 1.0,
-) -> Trace:
+def load_trace(path: str | Path, labels_path: str | Path | None = None) -> Trace:
     """Load a trace file, in the format its suffix names, into a Trace whose
     id is the file stem.
 
@@ -398,7 +387,7 @@ def load_trace(
 
     labels = load_labels(labels_path) if labels_path is not None else None
     try:
-        return Trace(samples=samples, tick_s=tick_s, labels=labels, trace_id=path.stem)
+        return Trace(samples=samples, labels=labels, trace_id=path.stem)
     except NonMonotonicTimestamp as exc:
         raise NonMonotonicTimestamp(f"{path}: {exc}") from None
 
@@ -439,12 +428,11 @@ _NDJSON_LINE = ('{"ts_ms": %d, "throughput_mbps": %s, "jitter_ms": %s, '
 def write_trace(
     trace: Trace,
     path: str | Path,
-    fmt: str | None = None,
     labels_path: str | Path | None = None,
     inband_qoe: bool = False,
-    window_s: int = DEFAULT_WINDOW_S,
 ) -> None:
-    """Write a trace (and its labels, if any) to disk.
+    """Write a trace (and its labels, if any) to disk, in the format the
+    path's suffix names.
 
     A tick's own qoe is written as is. With inband_qoe=True a tick without
     one carries its window's label under "qoe" instead, which is what a
@@ -453,22 +441,17 @@ def write_trace(
     exactly.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = _trace_format(path)
     label_of = trace.label_map() if inband_qoe else {}
-    window_ms = window_s * 1000
     # the one qoe rule: the tick's own value, else its window's label
-    qoes = [s.qoe if s.qoe is not None else label_of.get(s.ts_ms // window_ms)
+    qoes = [s.qoe if s.qoe is not None else label_of.get(s.ts_ms // WINDOW_MS)
             for s in trace.samples]
-    if fmt == "csv":
+    if _trace_format(path) == "csv":
         qoe_column = inband_qoe or any(q is not None for q in qoes)
         head = [CSV_HEADER + ",qoe" if qoe_column else CSV_HEADER]
         line, with_qoe, without_qoe = _CSV_LINE, ",%s", "," if qoe_column else ""
-    elif fmt == "ndjson":
+    else:
         head = []
         line, with_qoe, without_qoe = _NDJSON_LINE, ', "qoe": %s}', "}"
-    else:
-        raise ValueError(f"unknown trace format: {fmt}")
     lines = head + [
         line % (s.ts_ms, fmt_float(s.throughput_mbps), fmt_float(s.jitter_ms),
                 fmt_float(s.loss_rate), s.loss_count, fmt_float(s.speed_kmh))

@@ -274,7 +274,6 @@ def train_neural(model: ForecastModel, dataset: PreparedDataset,
 
     bundle = ModelBundle(
         variant_id=model.variant_id,
-        window_s=dataset.window_s,
         scaler=dataset.scaler,
         params={k: p.data.astype(np.float32) for k, p in params.items()},
         meta={
@@ -445,7 +444,6 @@ def fit_linear(variant_id: str, dataset: PreparedDataset,
 
     bundle = ModelBundle(
         variant_id=variant_id,
-        window_s=dataset.window_s,
         scaler=dataset.scaler,
         params={"weights": w.reshape(-1, 1).astype(np.float32),
                 "bias": np.array([b], dtype=np.float32)},

@@ -8,7 +8,7 @@ attention weights, when it has any, as a side output that never influences
 the prediction.
 
 Trained weights travel as a ModelBundle: a JSON document holding the
-architecture id, the windowing geometry, the scaler, 32-bit parameters and
+architecture id, the protocol geometry, the scaler, 32-bit parameters and
 a CRC-32 over their canonical serialization. BundleRunner is the one way
 to run a bundle.
 """
@@ -28,6 +28,7 @@ from .errors import (ChecksumMismatch, ShapeMismatch, UnknownVariant, VersionMis
                      load_json, malformed)
 from .nncore import ParamSpec, Tape, Tensor
 from .pipeline import CONTEXT_LEN, FEATURE_NAMES, N_FEATURES, QOE_FEATURE, ScalerStats
+from .telemetry import WINDOW_S
 
 ATTENTION_WIDTH = 128
 D_MODEL = 32
@@ -312,13 +313,12 @@ def last_value_baseline(batch: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModelBundle:
-    """Portable trained model: weights at 32-bit plus the window length and
-    scaler its inputs need. The context length, feature order and format
+    """Portable trained model: weights at 32-bit plus the scaler its inputs
+    need. The window length, context length, feature order and format
     version are the protocol's constants, which serialize writes and
     deserialize checks."""
 
     variant_id: str
-    window_s: int
     scaler: ScalerStats
     params: dict[str, np.ndarray]  # float32, model spec order
     meta: dict
@@ -345,7 +345,7 @@ def serialize(bundle: ModelBundle) -> str:
     doc = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "variant_id": bundle.variant_id,
-        "window_s": bundle.window_s,
+        "window_s": WINDOW_S,
         "context_len": CONTEXT_LEN,
         "feature_order": list(FEATURE_NAMES),
         "scaler": bundle.scaler.to_dict(),
@@ -368,10 +368,11 @@ def deserialize(text: str) -> ModelBundle:
 
     Checks the format version, the geometry against the fixed protocol, the
     CRC-32 of the params section, declared shapes against value counts, and
-    both against the architecture's own parameter spec. A context_len or
-    feature_order other than the protocol's raises ShapeMismatch naming the
-    field, as load_dataset does; so does a JSON syntax error, a missing key,
-    a value of the wrong JSON type or a bad scaler.
+    both against the architecture's own parameter spec. A window_s,
+    context_len or feature_order other than the protocol's raises
+    ShapeMismatch naming the field, as load_dataset does; so does a JSON
+    syntax error, a missing key, a value of the wrong JSON type or a bad
+    scaler.
     """
     return _parse_bundle(text, "bundle")
 
@@ -384,11 +385,12 @@ def _parse_bundle(text: str, source) -> ModelBundle:
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionMismatch(
             f"{source}: format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
-    for key, want in (("context_len", CONTEXT_LEN), ("feature_order", list(FEATURE_NAMES))):
-        if doc.get(key) != want:
-            raise ShapeMismatch(f"{source}: {key} is {doc.get(key)!r}, "
-                                f"the model zoo takes {want!r}")
     try:
+        for key, want in (("window_s", WINDOW_S), ("context_len", CONTEXT_LEN),
+                          ("feature_order", list(FEATURE_NAMES))):
+            if doc[key] != want:
+                raise ShapeMismatch(f"{source}: {key} is {doc[key]!r}, "
+                                    f"the model zoo takes {want!r}")
         variant_id = doc["variant_id"]
         model = build_variant(variant_id)  # raises UnknownVariant
 
@@ -420,7 +422,6 @@ def _parse_bundle(text: str, source) -> ModelBundle:
 
         return ModelBundle(
             variant_id=variant_id,
-            window_s=int(doc["window_s"]),
             scaler=ScalerStats.from_dict(doc["scaler"], source),
             params=params,
             meta=doc.get("meta", {}),
@@ -460,4 +461,6 @@ class BundleRunner:
         x = Tensor(batch)
         pred, _ = self.model.forward(self.params, x, tape, train=False)
         nc.backward(tape, nc.reduce_sum(tape, pred))
+        for p in self.params.values():  # a reused runner keeps no stale gradients
+            p.grad = None
         return x.grad

@@ -60,7 +60,7 @@ def _init_bundle(vid: str, scaler, seed: int = 0) -> ModelBundle:
     model = build_variant(vid)
     params = {k: np.asarray(v, dtype=np.float32)
               for k, v in model.init_params(seed).items()}
-    return ModelBundle(variant_id=vid, window_s=10,
+    return ModelBundle(variant_id=vid,
                        scaler=scaler, params=params, meta={})
 
 
@@ -286,14 +286,14 @@ def test_criterion_08_explainability(small_dataset, linear_bundle):
     for vid in NEURAL_VARIANTS:
         bundle = _init_bundle(vid, small_dataset.scaler)
         for x in inputs:
-            att = integrated_gradients(bundle, x, steps=256)
+            att = integrated_gradients(BundleRunner(bundle), x, steps=256)
             bound = max(0.01 * abs(att.prediction - att.baseline_prediction),
                         1e-6)
             assert att.completeness_gap <= bound, (vid, att.completeness_gap)
             denom = max(abs(att.prediction - att.baseline_prediction), 1e-6)
             worst_rel = max(worst_rel, att.completeness_gap / denom)
 
-    att = integrated_gradients(linear_bundle, inputs[0])
+    att = integrated_gradients(BundleRunner(linear_bundle), inputs[0])
     w = np.asarray(linear_bundle.params["weights"],
                    dtype=np.float64).reshape(5, 6)
     exact = np.array_equal(att.values, w * inputs[0])
@@ -343,7 +343,7 @@ def test_criterion_10_streaming_serve(small_dataset):
     import tempfile
     with tempfile.TemporaryDirectory() as td:
         path = Path(td) / "eq.ndjson"
-        write_trace(trace, path, fmt="ndjson", inband_qoe=True)
+        write_trace(trace, path, inband_qoe=True)
         stream_lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     sout = io.StringIO()
     run_stream(gru, FeedbackPolicy(), stream_lines, sout, clock=lambda: 0.0)

@@ -14,10 +14,13 @@ import pytest
 
 from qoecast import __version__
 from qoecast.cli import build_parser, main
+from qoecast.explain import IG_STEPS
 from qoecast.pipeline import load_dataset
 from qoecast.seeding import derive_seed
+from qoecast.serve import FeedbackPolicy
 from qoecast.synthgen import GeneratorConfig, generate_trace
 from qoecast.telemetry import load_trace
+from qoecast.train import TrainConfig
 from qoecast.zoo import load_bundle
 
 LASTVALUE = Path(__file__).parent / "data" / "lastvalue.bundle.json"
@@ -211,6 +214,14 @@ class TestExitCodes:
     def test_train_requires_variant_or_all(self, flow, capsys):
         assert main(["train", "--data", str(flow / "ds"), "--out", "x"]) == 1
         assert "--variant" in capsys.readouterr().err
+
+    def test_train_rejects_variant_with_all(self, flow, tmp_path, capsys):
+        # --all used to win silently and fit all 18 variants
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(flow / "ds"), "--all",
+                     "--variant", "lin_basic", "--out", str(out)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_explain_index_out_of_range(self, flow, capsys):
         assert main(["explain",
@@ -414,15 +425,15 @@ class TestExitCodes:
 # Every option of every subcommand. A new one needs a caller: a command in
 # the README, a test or a benchmark workload that sets it.
 CLI_OPTIONS = {
-    "generate": ["--seed", "--traces", "--duration", "--window-s", "--format",
-                 "--inband-qoe", "--out"],
-    "prepare": ["--data", "--window-s", "--out"],
+    "generate": ["--seed", "--traces", "--duration", "--format", "--inband-qoe",
+                 "--out"],
+    "prepare": ["--data", "--out"],
     "train": ["--data", "--variant", "--all", "--seed", "--max-epochs", "--out"],
     "benchmark": ["--data", "--run", "--seed"],
     "explain": ["--bundle", "--data", "--part", "--index", "--method", "--steps",
                 "--seed", "--out"],
     "serve": ["--bundle", "--input", "--out", "--policy-alert", "--policy-bitrate",
-              "--hysteresis", "--tick-s", "--explain-on-alert"],
+              "--hysteresis", "--explain-on-alert"],
 }
 
 
@@ -433,7 +444,22 @@ def test_cli_surface_is_pinned():
                       if s not in ("-h", "--help")]
                for name, p in sub.choices.items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 35
+    assert sum(map(len, options.values())) == 32
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # each default is written once, in the library, and read from there
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    defaults = {(name, a.dest): a.default for name, p in sub.choices.items()
+                for a in p._actions}
+    assert defaults[("generate", "duration")] == GeneratorConfig().duration_s
+    assert defaults[("train", "max_epochs")] == TrainConfig().max_epochs
+    assert defaults[("explain", "steps")] == IG_STEPS
+    policy = FeedbackPolicy()
+    assert defaults[("serve", "policy_alert")] == policy.alert_threshold
+    assert defaults[("serve", "policy_bitrate")] == policy.reduce_bitrate_threshold
+    assert defaults[("serve", "hysteresis")] == policy.hysteresis
 
 
 def test_readme_quick_start_parses():

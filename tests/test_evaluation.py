@@ -26,7 +26,7 @@ def _linear_probe_bundle(ds, weights=None, bias=0.0):
     if weights is not None:
         w[:, 0] = weights
     return ModelBundle(
-        variant_id="lin_basic", window_s=ds.window_s,
+        variant_id="lin_basic",
         scaler=ds.scaler, params={"weights": w,
                                   "bias": np.array([bias], dtype=np.float32)},
         meta={})

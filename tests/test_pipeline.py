@@ -30,7 +30,7 @@ from qoecast.pipeline import (
 )
 from qoecast.seeding import derive_seed
 from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle
-from qoecast.telemetry import TelemetrySample, Trace
+from qoecast.telemetry import WINDOW_S, TelemetrySample, Trace
 
 
 DATASET_FILES = ("train.ndjson", "val.ndjson", "test.ndjson", "scaler.json", "dataset.json")
@@ -62,7 +62,7 @@ def _ramp_qoe_chain(n_windows):
 
 class TestWindowing:
     def test_full_trace_window_count_and_means(self):
-        res = window_trace(_ramp_trace(), window_s=10)
+        res = window_trace(_ramp_trace())
         assert len(res.windows) == 60
         assert res.dropped == []
         for w in res.windows:
@@ -71,14 +71,14 @@ class TestWindowing:
 
     def test_loss_count_sums_over_ticks(self):
         samples = tuple(_tick(i * 1000, loss_count=3) for i in range(20))
-        res = window_trace(Trace(samples=samples), window_s=10)
+        res = window_trace(Trace(samples=samples))
         assert [w.features[3] for w in res.windows] == [30.0, 30.0]
 
     def test_short_window_dropped_with_reason(self):
         # window 1 keeps only 7 of its 10 ticks: below the 80% floor
         keep = [i for i in range(30) if not (10 <= i < 13)]
         samples = tuple(_tick(i * 1000) for i in keep)
-        res = window_trace(Trace(samples=samples), window_s=10)
+        res = window_trace(Trace(samples=samples))
         assert [w.window_index for w in res.windows] == [0, 2]
         assert res.dropped == [(1, "7/10 ticks")]
 
@@ -131,11 +131,6 @@ class TestWindowing:
         samples = tuple(_tick(w * 10000 + k * 1000) for w in range(3) for k in range(4))
         with pytest.raises(NoCompleteWindow):
             window_trace(Trace(samples=samples))
-
-    def test_bad_window_s(self):
-        tr = _ramp_trace(60)
-        with pytest.raises(ValueError):
-            window_trace(tr, window_s=0)
 
 
 def _qoe_row(qoe, rest=0.0):
@@ -339,11 +334,6 @@ class TestBuildDataset:
         assert y.shape == (77,)
         assert X.dtype == np.float64
 
-    def test_window_length_override(self):
-        ds = build_dataset([_ramp_trace()], window_s=5)
-        assert ds.window_s == 5
-        assert ds.train.X.shape == (int(115 * 0.7), 5, 6)  # 120 windows, 115 sequences
-
     def test_no_traces(self):
         with pytest.raises(InsufficientData):
             build_dataset([])
@@ -372,9 +362,9 @@ class TestDatasetIO:
         save_dataset(small_dataset, tmp_path)
         back = load_dataset(tmp_path)
         assert scaler_fingerprint(back.scaler) == scaler_fingerprint(small_dataset.scaler)
-        assert back.window_s == small_dataset.window_s
         meta = json.loads((tmp_path / "dataset.json").read_text())
-        assert (meta["context_len"], meta["horizon"]) == (CONTEXT_LEN, HORIZON)
+        assert (meta["window_s"], meta["context_len"], meta["horizon"]) == \
+            (WINDOW_S, CONTEXT_LEN, HORIZON)
         assert meta["feature_order"] == list(FEATURE_NAMES)
         for part in ("train", "val", "test"):
             a, b = getattr(small_dataset, part), getattr(back, part)
@@ -394,7 +384,8 @@ class TestDatasetIO:
         assert ("gap", 30, "7/10 ticks") in load_dataset(tmp_path).dropped_windows
 
     @pytest.mark.parametrize("key,value", [("context_len", 3), ("horizon", 2),
-                                           ("feature_order", list(FEATURE_NAMES[::-1]))])
+                                           ("feature_order", list(FEATURE_NAMES[::-1])),
+                                           ("window_s", 5)])
     def test_load_rejects_another_geometry(self, small_dataset, tmp_path, key, value):
         # the zoo runs 5-window contexts of the six features in order only
         save_dataset(small_dataset, tmp_path)

@@ -80,7 +80,7 @@ def test_parse_record_gives_a_usable_sample_or_malformed_row(raw):
     assert 0.0 <= s.loss_rate <= 1.0 and s.loss_count >= 0 and s.speed_kmh >= 0.0
     assert s.qoe is None or (type(s.qoe) is float and 0.0 <= s.qoe <= 100.0)
     # the window rule sums every field of an accepted sample
-    agg = WindowAggregator(10, 1.0)
+    agg = WindowAggregator()
     agg.add(s)
     assert all(math.isfinite(v) for w in agg.flush() for v in w.link)
 

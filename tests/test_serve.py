@@ -35,7 +35,7 @@ def _lv_bundle():
     """Linear bundle that predicts the last window's QoE unchanged."""
     w = np.zeros((30, 1), dtype=np.float32)
     w[29, 0] = 1.0
-    return ModelBundle(variant_id="lin_basic", window_s=10,
+    return ModelBundle(variant_id="lin_basic",
                        scaler=_scaler(),
                        params={"weights": w, "bias": np.zeros(1, dtype=np.float32)},
                        meta={})
@@ -334,7 +334,7 @@ class TestOfflineEquivalence:
                               trace_id="eq")
         trace = generate_trace(cfg)
         path = tmp_path / "eq.ndjson"
-        write_trace(trace, path, fmt="ndjson", inband_qoe=True)
+        write_trace(trace, path, inband_qoe=True)
         with path.open(encoding="utf-8") as fh:
             lines = fh.readlines()
         out = io.StringIO()
@@ -343,7 +343,7 @@ class TestOfflineEquivalence:
                     if "qoe_pred" in l]
         assert summary["forecasts"] == 26
 
-        windows = window_trace(trace, window_s=10).windows
+        windows = window_trace(trace).windows
         raw = np.stack([w.features for w in windows])
         scaled = scale_features(gru_bundle.scaler, raw)
         runner = BundleRunner(gru_bundle)
@@ -392,12 +392,13 @@ class TestOneWindowRule:
         assert state.stats.dropped_windows == 2
 
     def test_ticks_finer_than_tick_s_agree(self):
-        # 0.5 s ticks against tick_s=1: each window closes at its tenth tick,
-        # 5 s in, and the ticks of its second half are ignored on both paths
+        # 0.5 s ticks against the 1 s protocol tick: each window closes at its
+        # tenth tick, 5 s in, and the ticks of its second half are ignored on
+        # both paths
         samples = tuple(_sample(i, thr=1.0 + i, ts=500 * i) for i in range(200))
         state = StreamState(_lv_bundle(), POLICY)
         served = _served_link_rows(state, samples)
-        res = window_trace(Trace(samples=samples, tick_s=1.0))
+        res = window_trace(Trace(samples=samples))
         assert [w.window_index for w in res.windows] == list(range(10))
         assert res.dropped == []
         assert state.stats.dropped_windows == 0

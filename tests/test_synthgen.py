@@ -112,9 +112,7 @@ class TestGenerateTrace:
          "ba872427413bbdc6d4ff6d261ec777469e0d7ff8145b43152014fb6188e9c427"),
         (GeneratorConfig(seed=42, duration_s=317),
          "891ac4811dee77502a446800a531559970ba52aa3cebc9ee34d3b27f7a38ac3a"),
-        (GeneratorConfig(seed=5, duration_s=125, tick_s=0.5),
-         "60711e398d1618495eab6dc95c3d116ba2038f99aafbbd343e59950b6369543a"),
-    ], ids=["seed1", "seed7", "seed42", "half_tick"])
+    ], ids=["seed1", "seed7", "seed42"])
     def test_sample_digest_pinned(self, config, digest):
         # every field of every sample, and the labels, bit for bit: the
         # order and the clamping of the random draws are part of a seed
@@ -139,10 +137,6 @@ class TestGenerateTrace:
     def test_too_short_duration_rejected(self):
         with pytest.raises(InvalidConfig):
             generate_trace(GeneratorConfig(seed=0, duration_s=9))
-
-    def test_tick_not_shorter_than_an_episode_rejected(self):
-        with pytest.raises(InvalidConfig):
-            generate_trace(GeneratorConfig(seed=0, tick_s=EPISODE_MEAN_LEN_S))
 
     def test_smoothing_links_consecutive_windows(self, monkeypatch):
         # with zero noise, window w's label is 0.7*oracle(w) + 0.3*label(w-1)

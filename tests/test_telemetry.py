@@ -82,7 +82,7 @@ class TestRoundTrip:
         tr = Trace(samples=samples, labels=((0, 77.25), (1, 12.0)), trace_id="t")
         p = tmp_path / f"t.{fmt}"
         lp = tmp_path / "labels.csv"
-        write_trace(tr, p, fmt=fmt, labels_path=lp)
+        write_trace(tr, p, labels_path=lp)
         back = load_trace(p, labels_path=lp)
         assert back == tr
 
@@ -96,7 +96,7 @@ class TestRoundTrip:
     def test_inband_qoe_attaches_window_labels(self, tmp_path):
         tr = _trace(20, labels=((0, 40.0), (1, 60.0)))
         p = tmp_path / "t.ndjson"
-        write_trace(tr, p, inband_qoe=True, window_s=10)
+        write_trace(tr, p, inband_qoe=True)
         back = load_trace(p)
         assert all(s.qoe == 40.0 for s in back.samples[:10])
         assert all(s.qoe == 60.0 for s in back.samples[10:])
@@ -314,7 +314,7 @@ class TestNumericStrictness:
 
 class TestWindowAggregator:
     def test_closes_at_count_or_at_a_later_window(self):
-        agg = WindowAggregator(10, 1.0)
+        agg = WindowAggregator()
         closed = [w for i in range(10) for w in agg.add(_sample(i))]
         assert [(w.index, w.ticks, w.dropped) for w in closed] == [(0, 10, None)]
         assert closed[0].link[0] == sum(20.0 + i for i in range(10)) / 10
@@ -328,11 +328,7 @@ class TestWindowAggregator:
         assert agg.flush() == ()
 
     def test_inband_qoe_mean(self):
-        agg = WindowAggregator(10, 1.0)
+        agg = WindowAggregator()
         samples = [_sample(i, qoe=50.0 + i if i < 4 else None) for i in range(10)]
         (w,) = list(agg.windows(samples))
         assert w.qoe == (50.0 + 51.0 + 52.0 + 53.0) / 4
-
-    def test_window_shorter_than_a_tick(self):
-        with pytest.raises(ValueError):
-            WindowAggregator(1, 2.0)

@@ -239,7 +239,7 @@ def _make_bundle(vid="gru_basic", seed=0, meta=None):
               for k, v in model.init_params(seed).items()}
     scaler = ScalerStats(mins=np.zeros(6),
                          maxs=np.array([50.0, 50.0, 50.0, 50.0, 50.0, 100.0]))
-    return ModelBundle(variant_id=vid, window_s=10, scaler=scaler,
+    return ModelBundle(variant_id=vid, scaler=scaler,
                        params=params, meta=meta or {"val_mae": 0.05})
 
 
@@ -304,7 +304,8 @@ class TestBundles:
             deserialize(json.dumps(doc))
 
     @pytest.mark.parametrize("key,value", [("context_len", 3),
-                                           ("feature_order", list(FEATURE_NAMES[::-1]))])
+                                           ("feature_order", list(FEATURE_NAMES[::-1])),
+                                           ("window_s", 5)])
     def test_other_geometry_rejected(self, key, value):
         # the checksum covers only the params, so an edited geometry used to
         # load and fail later, or be served silently
