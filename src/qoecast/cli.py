@@ -30,7 +30,7 @@ from .evaluation import (
     rank_variants,
     write_metrics_csv,
 )
-from .explain import IG_STEPS, attention_map, integrated_gradients, lime_local
+from .explain import IG_STEPS, attention_map, check_steps, integrated_gradients, lime_local
 from .pipeline import PARTS, build_dataset, load_dataset, save_dataset
 from .seeding import derive_seed
 from .serve import FeedbackPolicy, run_stream
@@ -55,6 +55,20 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _checked(convert, check):
+    """An argparse type: convert the text, then run the library's own check
+    on the value, so a value the library rejects is a usage error."""
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except (QoecastError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
 
 
 def _write_manifest(out_dir: Path, command: str, args_ns: argparse.Namespace,
@@ -250,12 +264,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    try:  # the thresholds are options checked together, before any file is read
+        policy = FeedbackPolicy(alert_threshold=args.policy_alert,
+                                reduce_bitrate_threshold=args.policy_bitrate,
+                                hysteresis=args.hysteresis)
+    except ValueError as exc:
+        raise UsageError(f"qoecast serve: {exc}") from None
     bundle = load_bundle(Path(args.bundle))
-    policy = FeedbackPolicy(
-        alert_threshold=args.policy_alert,
-        reduce_bitrate_threshold=args.policy_bitrate,
-        hysteresis=args.hysteresis,
-    )
     # bytes: each line is decoded on its own, so one invalid byte costs one record
     instream = sys.stdin.buffer if args.input == "-" else Path(args.input).open("rb")
     outstream = sys.stdout if args.out == "-" else Path(args.out).open("w", encoding="utf-8")
@@ -282,7 +297,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("generate", parents=[], help="synthesize labeled traces")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--traces", type=int, default=1)
-    g.add_argument("--duration", type=int, default=GeneratorConfig.duration_s,
+    g.add_argument("--duration", default=GeneratorConfig.duration_s,
+                   type=_checked(int, lambda v: GeneratorConfig(duration_s=v).validate()),
                    help="seconds per trace")
     g.add_argument("--format", choices=["csv", "ndjson"], default="csv")
     g.add_argument("--inband-qoe", action="store_true",
@@ -301,8 +317,8 @@ def build_parser() -> _Parser:
     which.add_argument("--variant", choices=list(ALL_VARIANTS))
     which.add_argument("--all", action="store_true")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs,
-                   dest="max_epochs")
+    t.add_argument("--max-epochs", default=TrainConfig.max_epochs, dest="max_epochs",
+                   type=_checked(int, lambda v: TrainConfig(max_epochs=v)))
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 
@@ -318,7 +334,7 @@ def build_parser() -> _Parser:
     x.add_argument("--part", choices=PARTS, default="test")
     x.add_argument("--index", type=int, default=0)
     x.add_argument("--method", choices=["ig", "attention", "lime"], default="ig")
-    x.add_argument("--steps", type=int, default=IG_STEPS)
+    x.add_argument("--steps", type=_checked(int, check_steps), default=IG_STEPS)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--out")
     x.set_defaults(func=cmd_explain)

@@ -6,6 +6,13 @@ zoo.BundleRunner, so a caller that explains many inputs builds it once.
 Attributions are reported per (window, feature) cell in prediction units;
 for integrated gradients the cells sum to the prediction difference against
 the baseline up to a reported completeness gap.
+
+Integrated gradients on a neural variant run one taped forward and backward
+pass over a single batch of steps + 2 rows (66 at the default IG_STEPS):
+the interpolation points, then x and the baseline, whose rows give the
+prediction and the baseline prediction. The runner's weights are ndarrays,
+which nncore treats as constants, so the backward pass forms only the input
+gradients.
 """
 
 from __future__ import annotations
@@ -55,6 +62,12 @@ class Attribution:
         return out
 
 
+def check_steps(steps: int) -> None:
+    """Integrated gradients need at least one interpolation step."""
+    if steps < 1:
+        raise ValueError("steps must be positive")
+
+
 def integrated_gradients(runner: BundleRunner, x: np.ndarray,
                          baseline: np.ndarray | None = None,
                          steps: int = IG_STEPS) -> Attribution:
@@ -66,23 +79,25 @@ def integrated_gradients(runner: BundleRunner, x: np.ndarray,
     whose completeness gap is zero by construction. The default baseline is
     the all-zero scaled input (the training-window minima).
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    check_steps(steps)
     x = _check_input(x)
     baseline = np.zeros_like(x) if baseline is None else _check_input(baseline)
     diff = x - baseline
-
-    both, _ = runner.predict(np.stack([x, baseline]))
-    pred, base_pred = float(both[0]), float(both[1])
+    ends = np.stack([x, baseline])
 
     if runner.model.model_class == "linear":
-        values = runner.params["weights"].data.reshape(x.shape) * diff
+        preds, _ = runner.predict(ends)
+        values = runner.params["weights"].reshape(x.shape) * diff
         method, steps = "integrated_gradients_exact", 1
     else:
         alphas = (np.arange(1, steps + 1) - 0.5) / steps
         points = baseline[None, :, :] + alphas[:, None, None] * diff[None, :, :]
-        values = runner.input_gradients(points).mean(axis=0) * diff
+        # x and the baseline ride as two extra rows: one taped pass gives all
+        preds, grads = runner.input_gradients(np.concatenate([points, ends]))
+        preds = preds[steps:]
+        values = grads[:steps].mean(axis=0) * diff
         method = "integrated_gradients"
+    pred, base_pred = float(preds[0]), float(preds[1])
     gap = abs(float(values.sum()) - (pred - base_pred))
     return Attribution(runner.bundle.variant_id, method, values, pred, base_pred, gap, steps)
 

@@ -10,6 +10,14 @@ what inference and finite differencing use.
 All internal math is 64-bit. Gradients accumulate into Tensor.grad, so a
 tensor used several times receives the sum of its downstream contributions.
 
+Every weight argument (of matmul, add, the fused GRU, LSTM, additive
+attention and encoder ops) takes a Tensor or a plain ndarray. An ndarray
+weight is a constant: its op forms no gradient product for it and
+accumulates nothing into it, while the input gradient is the same bits as
+with a Tensor weight. Training passes Tensors; a zoo.BundleRunner passes
+its widened weights as ndarrays, so explanations pay only for the input
+gradients they read.
+
 Importing this module fixes the process heap policy on glibc (see
 _set_heap_policy).
 """
@@ -138,6 +146,15 @@ def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+Weight = Tensor | np.ndarray  # an ndarray weight is a constant
+
+
+def _accum_weight(w: Weight, grad: Callable[[], np.ndarray]) -> None:
+    """Accumulate grad() into a Tensor weight; a constant's is never formed."""
+    if isinstance(w, Tensor):
+        _accum(w, grad())
+
+
 # ------------------------------------------------------------- arithmetic
 
 def add(tape: Tape | None, a: Tensor, b) -> Tensor:
@@ -150,43 +167,43 @@ def add(tape: Tape | None, a: Tensor, b) -> Tensor:
     if tape is not None:
         def _back():
             _accum(a, _reduce_to(out.grad, a.data.shape))
-            if isinstance(b, Tensor):
-                _accum(b, _reduce_to(out.grad, b.data.shape))
+            _accum_weight(b, lambda: _reduce_to(out.grad, bd.shape))
         tape.record(_back)
     return out
 
 
-def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
+def matmul(tape: Tape | None, a: Tensor, b: Weight) -> Tensor:
     """Matrix product; supports stacked (batched) operands like np.matmul.
 
     An N-D operand times a 2-D one is one 2-D product over the folded
     leading axes, forward and backward: the weight gradient is a single
     a'g product rather than per-sample products summed over the batch.
     """
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    bd = _as_array(b)
+    if a.data.ndim < 2 or bd.ndim < 2:
         raise ShapeMismatch("matmul operands must have at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.shape[-1] != bd.shape[-2]:
         raise ShapeMismatch(
-            f"matmul: inner dimensions differ, {a.data.shape} @ {b.data.shape}")
-    if b.data.ndim == 2:
-        k, n = b.data.shape
+            f"matmul: inner dimensions differ, {a.data.shape} @ {bd.shape}")
+    if bd.ndim == 2:
+        k, n = bd.shape
         a2 = a.data.reshape(-1, k)
-        out = Tensor((a2 @ b.data).reshape(a.data.shape[:-1] + (n,)))
+        out = Tensor((a2 @ bd).reshape(a.data.shape[:-1] + (n,)))
         if tape is not None:
             def _back():
                 g2 = out.grad.reshape(-1, n)
-                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-                _accum(b, a2.T @ g2)
+                _accum(a, (g2 @ bd.T).reshape(a.data.shape))
+                _accum_weight(b, lambda: a2.T @ g2)
             tape.record(_back)
         return out
-    out = Tensor(np.matmul(a.data, b.data))
+    out = Tensor(np.matmul(a.data, bd))
     if tape is not None:
         def _back():
             g = out.grad
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
             _accum(a, _reduce_to(ga, a.data.shape))
-            _accum(b, _reduce_to(gb, b.data.shape))
+            _accum_weight(b, lambda: _reduce_to(
+                np.matmul(np.swapaxes(a.data, -1, -2), g), bd.shape))
         tape.record(_back)
     return out
 
@@ -235,9 +252,14 @@ def reduce_sum(tape: Tape | None, x: Tensor, axis=None, keepdims: bool = False) 
 
 # ------------------------------------------------------------- nonlinearities
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the tanh form cannot overflow for any |x| and needs no masks
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + tanh(0.5 * v)), in that operation order, written into v."""
+    # the tanh form cannot overflow for any |v| and needs no masks
+    v *= 0.5
+    np.tanh(v, out=v)
+    v += 1.0
+    v *= 0.5
+    return v
 
 
 def tanh(tape: Tape | None, x: Tensor) -> Tensor:
@@ -323,30 +345,30 @@ def dropout(tape: Tape | None, x: Tensor, rate: float, train: bool,
 # every step into one array, then forms the input-side gradients with one
 # product each (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
 
-def _check_recurrent(name: str, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
-                     gates: int) -> tuple[int, int, int]:
-    if x.data.ndim != 3 or x.data.shape[1] == 0 or U.data.ndim != 2:
+def _check_recurrent(name: str, x: np.ndarray, W: np.ndarray, U: np.ndarray,
+                     b: np.ndarray, gates: int) -> tuple[int, int, int]:
+    if x.ndim != 3 or x.shape[1] == 0 or U.ndim != 2:
         raise ShapeMismatch(f"{name}: needs a (batch, time >= 1, d) input and a 2-D "
-                            f"recurrent kernel, got {x.data.shape} and {U.data.shape}")
-    units = U.data.shape[0]
+                            f"recurrent kernel, got {x.shape} and {U.shape}")
+    units = U.shape[0]
     width = gates * units
-    if (W.data.shape != (x.data.shape[2], width) or U.data.shape != (units, width)
-            or b.data.shape != (width,)):
+    if W.shape != (x.shape[2], width) or U.shape != (units, width) or b.shape != (width,):
         raise ShapeMismatch(
-            f"{name}: input {x.data.shape}, kernel {W.data.shape}, recurrent "
-            f"{U.data.shape} and bias {b.data.shape} do not fit {gates} gates")
-    return x.data.shape[0], x.data.shape[1], units
+            f"{name}: input {x.shape}, kernel {W.shape}, recurrent "
+            f"{U.shape} and bias {b.shape} do not fit {gates} gates")
+    return x.shape[0], x.shape[1], units
 
 
-def _accum_inputs(x: Tensor, W: Tensor, b: Tensor, dgx: np.ndarray) -> None:
+def _accum_inputs(x: Tensor, W: Weight, b: Weight, dgx: np.ndarray) -> None:
     """Gradients of the projection x @ W + b from all steps' gate gradients."""
-    d, width = W.data.shape
-    _accum(W, x.data.reshape(-1, d).T @ dgx.reshape(-1, width))
-    _accum(b, dgx.sum(axis=(0, 1)))
-    _accum(x, dgx @ W.data.T)
+    Wd = _as_array(W)
+    d, width = Wd.shape
+    _accum_weight(W, lambda: x.data.reshape(-1, d).T @ dgx.reshape(-1, width))
+    _accum_weight(b, lambda: dgx.sum(axis=(0, 1)))
+    _accum(x, dgx @ Wd.T)
 
 
-def gru_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+def gru_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> Tensor:
     """GRU layer, gate layout z|r|h: W (d, 3u), U (u, 3u), b (3u,).
 
     Per step, with the reset gate applied before the candidate's
@@ -354,10 +376,14 @@ def gru_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> 
         z|r = sigmoid(x_t W_zr + h U_zr + b_zr)
         c   = tanh(x_t W_h + (r * h) U_h + b_h)
         h  <- h + z * (c - h)
+    The step loops write into fresh buffers in place, with the operation
+    order of the expressions above.
     """
-    B, T, u = _check_recurrent("gru_layer", x, W, U, b, 3)
-    gx = np.matmul(x.data, W.data) + b.data
-    U_zr, U_h = U.data[:, : 2 * u], U.data[:, 2 * u :]
+    Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
+    B, T, u = _check_recurrent("gru_layer", x.data, Wd, Ud, bd, 3)
+    gx = np.matmul(x.data, Wd)
+    gx += bd
+    U_zr, U_h = Ud[:, : 2 * u], Ud[:, 2 * u :]
     h0 = np.zeros((B, u))
     hs: list[np.ndarray] = []
     zrs: list[np.ndarray] = []
@@ -365,9 +391,16 @@ def gru_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> 
     h = h0
     for t in range(T):
         a = gx[:, t]
-        zr = _sigmoid(a[:, : 2 * u] + h @ U_zr)
-        c = np.tanh(a[:, 2 * u :] + (zr[:, u:] * h) @ U_h)
-        h = h + zr[:, :u] * (c - h)
+        zr = h @ U_zr
+        zr += a[:, : 2 * u]
+        _sigmoid(zr)
+        c = (zr[:, u:] * h) @ U_h
+        c += a[:, 2 * u :]
+        np.tanh(c, out=c)
+        hn = c - h
+        hn *= zr[:, :u]
+        hn += h
+        h = hn
         hs.append(h)
         if tape is not None:
             zrs.append(zr)
@@ -377,30 +410,44 @@ def gru_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> 
         def _back():
             dhs = out.grad
             dgx = np.empty_like(gx)
-            dU = np.zeros_like(U.data)
-            dh = h0
+            learn_U = isinstance(U, Tensor)
+            dU = np.zeros_like(Ud) if learn_U else None
+            dh = np.zeros((B, u))  # owned: h0 is the first step's h_prev
             for t in range(T - 1, -1, -1):
                 h_prev = hs[t - 1] if t else h0
                 zr, c = zrs[t], cs[t]
                 z, r = zr[:, :u], zr[:, u:]
-                dh = dh + dhs[:, t]
-                dc = dh * z * (1.0 - c * c)
-                dq = dc @ U_h.T  # q = r * h_prev feeds the candidate
+                dh += dhs[:, t]
                 g = dgx[:, t]
+                np.subtract(c, h_prev, out=g[:, :u])
+                g[:, :u] *= dh
+                c *= c  # the step's last read of c: it becomes 1 - c^2
+                np.subtract(1.0, c, out=c)
+                dc = dh * z
+                dc *= c
+                dq = dc @ U_h.T  # q = r * h_prev feeds the candidate
                 g[:, 2 * u :] = dc
-                g[:, :u] = dh * (c - h_prev)
-                g[:, u : 2 * u] = dq * h_prev
-                g[:, : 2 * u] *= zr * (1.0 - zr)
-                dU[:, : 2 * u] += h_prev.T @ g[:, : 2 * u]
-                dU[:, 2 * u :] += (r * h_prev).T @ dc
-                dh = dh * (1.0 - z) + dq * r + g[:, : 2 * u] @ U_zr.T
-            _accum(U, dU)
+                np.multiply(dq, h_prev, out=g[:, u : 2 * u])
+                dzr = 1.0 - zr
+                dh *= dzr[:, :u]
+                dzr *= zr
+                g_zr = g[:, : 2 * u]
+                g_zr *= dzr
+                if learn_U:
+                    dU[:, : 2 * u] += h_prev.T @ g_zr
+                    dU[:, 2 * u :] += (r * h_prev).T @ dc
+                if t:  # the first step's h_prev is the constant h0
+                    dq *= r
+                    dh += dq
+                    dh += g_zr @ U_zr.T
+            if learn_U:
+                _accum(U, dU)
             _accum_inputs(x, W, b, dgx)
         tape.record(_back)
     return out
 
 
-def lstm_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+def lstm_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> Tensor:
     """LSTM layer, gate layout i|f|g|o: W (d, 4u), U (u, 4u), b (4u,).
 
     Per step:
@@ -408,8 +455,9 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) ->
         c    <- f * c + i * g
         h     = o * tanh(c)
     """
-    B, T, u = _check_recurrent("lstm_layer", x, W, U, b, 4)
-    gx = np.matmul(x.data, W.data) + b.data
+    Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
+    B, T, u = _check_recurrent("lstm_layer", x.data, Wd, Ud, bd, 4)
+    gx = np.matmul(x.data, Wd) + bd
     # sigmoid(v) = tanh(v / 2) / 2 + 1/2, so one tanh covers all four gates:
     # act = tanh(pre * s) * s + shift, with s = 1/2 on i|f|o and 1 on g
     s = np.full(4 * u, 0.5)
@@ -424,7 +472,7 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) ->
     tcs: list[np.ndarray] = []
     h = c = h0
     for t in range(T):
-        th = np.tanh((gx[:, t] + h @ U.data) * s)
+        th = np.tanh((gx[:, t] + h @ Ud) * s)
         act = th * s + shift
         c = act[:, u : 2 * u] * c + act[:, :u] * act[:, 2 * u : 3 * u]
         tc = np.tanh(c)
@@ -440,7 +488,8 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) ->
         def _back():
             dhs = out.grad
             dgx = np.empty_like(gx)
-            dU = np.zeros_like(U.data)
+            learn_U = isinstance(U, Tensor)
+            dU = np.zeros_like(Ud) if learn_U else None
             slope = s * s  # d act / d pre = (1 - th^2) * s^2
             dh = dc = h0
             for t in range(T - 1, -1, -1):
@@ -455,13 +504,75 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Tensor, U: Tensor, b: Tensor) ->
                 g[:, 2 * u : 3 * u] = dc * act[:, :u]
                 g[:, 3 * u :] = dh * tc
                 g *= (1.0 - ths[t] * ths[t]) * slope
-                dU += h_prev.T @ g
-                dh = g @ U.data.T
-                dc = dc * act[:, u : 2 * u]
-            _accum(U, dU)
+                if learn_U:
+                    dU += h_prev.T @ g
+                if t:  # the first step's h_prev and c_prev are the constant h0
+                    dh = g @ Ud.T
+                    dc = dc * act[:, u : 2 * u]
+            if learn_U:
+                _accum(U, dU)
             _accum_inputs(x, W, b, dgx)
         tape.record(_back)
     return out
+
+
+# ------------------------------------------------------- additive attention
+#
+# The recurrent models' attention head (Bahdanau, Cho & Bengio 2015) as one
+# fused op. Its forward and backward passes are the nine primitive ops it
+# replaces (matmul, add, tanh, matmul, reshape, softmax, reshape, batched
+# matmul, reshape) with their IEEE operation order, written into fresh
+# buffers in place, and with a tape it records one closure.
+
+def additive_attention(tape: Tape | None, seq: Tensor, W: Weight, b: Weight,
+                       v: Weight) -> tuple[Tensor, np.ndarray]:
+    """Attention-pooled context of a (B, T, u) sequence; returns (ctx, alpha).
+
+        e     = tanh(seq W + b)        (B, T, A)
+        alpha = softmax over t of e v  (B, T)
+        ctx   = sum_t alpha_t seq_t    (B, u)
+    with W (u, A), b (A,) and v (A, 1). alpha comes back as an array.
+    """
+    Wd, bd, vd = _as_array(W), _as_array(b), _as_array(v)
+    if (seq.data.ndim != 3 or Wd.ndim != 2 or Wd.shape[0] != seq.data.shape[2]
+            or bd.shape != Wd.shape[1:] or vd.shape != (Wd.shape[1], 1)):
+        raise ShapeMismatch(
+            f"additive_attention: sequence {seq.data.shape}, kernel {Wd.shape}, bias "
+            f"{bd.shape} and score {vd.shape} do not fit (batch, time, units) @ "
+            f"(units, A), (A,), (A, 1)")
+    B, T, u = seq.data.shape
+    s2 = seq.data.reshape(-1, u)
+    e = s2 @ Wd
+    e += bd
+    np.tanh(e, out=e)
+    alpha = (e @ vd).reshape(B, T)
+    alpha -= np.max(alpha, axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= np.sum(alpha, axis=1, keepdims=True)
+    alpha3 = alpha.reshape(B, 1, T)
+    ctx = Tensor(np.matmul(alpha3, seq.data).reshape(B, u))
+    if tape is not None:
+        def _back():
+            g3 = ctx.grad.reshape(B, 1, u)
+            dalpha = np.matmul(g3, np.swapaxes(seq.data, -1, -2)).reshape(B, T)
+            dseq = np.matmul(np.swapaxes(alpha3, -1, -2), g3)
+            # softmax: alpha * (g - sum(g * alpha))
+            inner = np.sum(dalpha * alpha, axis=1, keepdims=True)
+            dalpha -= inner
+            dalpha *= alpha
+            g2 = dalpha.reshape(-1, 1)
+            de = g2 @ vd.T
+            _accum_weight(v, lambda: e.T @ g2)
+            np.multiply(e, e, out=e)  # the last read of e: it becomes 1 - e^2
+            np.subtract(1.0, e, out=e)
+            de *= e
+            # over batch, then time: the order of add's _reduce_to
+            _accum_weight(b, lambda: de.reshape(B, T, -1).sum(axis=0).sum(axis=0))
+            _accum_weight(W, lambda: s2.T @ de)
+            dseq += (de @ Wd.T).reshape(B, T, u)
+            _accum(seq, dseq)
+        tape.record(_back)
+    return ctx, alpha
 
 
 # ------------------------------------------------------------ encoder block
@@ -477,42 +588,49 @@ ENCODER_PARAMS = (
     "wo_kernel", "wo_bias", "ln1_gamma", "ln1_beta",
     "ffn1_kernel", "ffn1_bias", "ffn2_kernel", "ffn2_bias", "ln2_gamma", "ln2_beta",
 )
+_QKV_PARAMS = ENCODER_PARAMS[:6]
 
 
-def _check_encoder(x: Tensor, params: Mapping[str, Tensor], heads: int) -> None:
+def _check_encoder(x: Tensor, p: Mapping[str, np.ndarray], heads: int) -> None:
     if x.data.ndim != 3 or heads < 1 or x.data.shape[2] % heads != 0:
         raise ShapeMismatch(f"encoder_block: needs a (batch, time, d) input with d "
                             f"divisible by {heads} heads, got {x.data.shape}")
     d = x.data.shape[2]
-    ff = params["ffn1_kernel"].data.shape[-1]
+    ff = p["ffn1_kernel"].shape[-1]
     want = {name: (d, d) if name.endswith("_kernel") else (d,) for name in ENCODER_PARAMS}
     want.update(ffn1_kernel=(d, ff), ffn1_bias=(ff,), ffn2_kernel=(ff, d))
     for name, shape in want.items():
-        if params[name].data.shape != shape:
-            raise ShapeMismatch(f"encoder_block: {name} is {params[name].data.shape}, "
+        if p[name].shape != shape:
+            raise ShapeMismatch(f"encoder_block: {name} is {p[name].shape}, "
                                 f"expected {shape} for d={d}")
 
 
 def _norm(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero mean / unit variance over the last axis, and 1/std."""
-    mu = np.mean(h, axis=-1, keepdims=True)
-    var = np.var(h, axis=-1, keepdims=True)
+    """Zero mean / unit variance over the last axis, and 1/std.
+
+    np.mean and np.var reduce the same way (np.add.reduce over the count),
+    so the values are theirs, without their wrappers' overhead.
+    """
+    n = h.shape[-1]
+    centred = h - np.add.reduce(h, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    return (h - mu) * inv, inv
+    return centred * inv, inv
 
 
 def _norm_back(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    gm = np.mean(g, axis=-1, keepdims=True)
-    gy = np.mean(g * y, axis=-1, keepdims=True)
+    n = g.shape[-1]
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+    gy = np.add.reduce(g * y, axis=-1, keepdims=True) / n
     return inv * (g - gm - y * gy)
 
 
-def encoder_block(tape: Tape | None, x: Tensor, params: Mapping[str, Tensor], heads: int,
+def encoder_block(tape: Tape | None, x: Tensor, params: Mapping[str, Weight], heads: int,
                   dropout_rate: float, train: bool = False,
                   rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
     """Post-norm encoder block over (B, T, d); returns (output, attention).
 
-    params holds the ENCODER_PARAMS tensors (other keys are ignored):
+    params holds the ENCODER_PARAMS weights (other keys are ignored):
         a  = dropout(concat_heads(softmax(q k' / sqrt(d/heads)) v) Wo + bo)
         h1 = norm(x + a) * ln1_gamma + ln1_beta
         f  = dropout(relu(h1 W1 + b1) W2 + b2)
@@ -522,10 +640,10 @@ def encoder_block(tape: Tape | None, x: Tensor, params: Mapping[str, Tensor], he
     dropout mask is drawn from rng first, then the FFN's. The attention
     weights come back as a (B, heads, T, T) array.
     """
-    _check_encoder(x, params, heads)
+    p = {name: _as_array(params[name]) for name in ENCODER_PARAMS}
+    _check_encoder(x, p, heads)
     B, T, d = x.data.shape
     hd = d // heads
-    p = {name: params[name].data for name in ENCODER_PARAMS}
     X = x.data.reshape(B * T, d)
     W_qkv = np.concatenate([p["wq_kernel"], p["wk_kernel"], p["wv_kernel"]], axis=1)
     b_qkv = np.concatenate([p["wq_bias"], p["wk_bias"], p["wv_bias"]])
@@ -555,22 +673,13 @@ def encoder_block(tape: Tape | None, x: Tensor, params: Mapping[str, Tensor], he
     if tape is not None:
         def _back():
             g = out.grad.reshape(B * T, d)
-            grads = {"ln2_gamma": np.sum(g * n2, axis=0), "ln2_beta": np.sum(g, axis=0)}
             dh2 = _norm_back(g * p["ln2_gamma"], n2, inv2)
             df = dh2 if keep2 is None else dh2 * keep2 * drop
-            grads["ffn2_kernel"] = f1.T @ df
-            grads["ffn2_bias"] = np.sum(df, axis=0)
             dpre = (df @ p["ffn2_kernel"].T) * active
-            grads["ffn1_kernel"] = h1.T @ dpre
-            grads["ffn1_bias"] = np.sum(dpre, axis=0)
             dh1 = dh2 + dpre @ p["ffn1_kernel"].T
-            grads["ln1_gamma"] = np.sum(dh1 * n1, axis=0)
-            grads["ln1_beta"] = np.sum(dh1, axis=0)
             # the gradient at x + a: x's residual share and the attention's
             dx = _norm_back(dh1 * p["ln1_gamma"], n1, inv1)
             da = dx if keep1 is None else dx * keep1 * drop
-            grads["wo_kernel"] = ctx.T @ da
-            grads["wo_bias"] = np.sum(da, axis=0)
             dctx = (da @ p["wo_kernel"].T).reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
             dw = np.matmul(dctx, np.swapaxes(v, -1, -2))
             dv = np.matmul(np.swapaxes(weights, -1, -2), dctx)
@@ -578,14 +687,30 @@ def encoder_block(tape: Tape | None, x: Tensor, params: Mapping[str, Tensor], he
             dq = np.matmul(ds, k)
             dk = np.matmul(np.swapaxes(ds, -1, -2), q)
             dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(B * T, 3 * d)
-            dW = X.T @ dqkv
-            db = np.sum(dqkv, axis=0)
-            for i, name in enumerate(("wq", "wk", "wv")):
-                grads[f"{name}_kernel"] = dW[:, i * d : (i + 1) * d]
-                grads[f"{name}_bias"] = db[i * d : (i + 1) * d]
-            for name in ENCODER_PARAMS:
-                _accum(params[name], grads[name])
             _accum(x, (dx + dqkv @ W_qkv.T).reshape(B, T, d))
+            grads = {
+                "ln2_gamma": lambda: np.sum(g * n2, axis=0),
+                "ln2_beta": lambda: np.sum(g, axis=0),
+                "ffn2_kernel": lambda: f1.T @ df,
+                "ffn2_bias": lambda: np.sum(df, axis=0),
+                "ffn1_kernel": lambda: h1.T @ dpre,
+                "ffn1_bias": lambda: np.sum(dpre, axis=0),
+                "ln1_gamma": lambda: np.sum(dh1 * n1, axis=0),
+                "ln1_beta": lambda: np.sum(dh1, axis=0),
+                "wo_kernel": lambda: ctx.T @ da,
+                "wo_bias": lambda: np.sum(da, axis=0),
+            }
+            for name, grad in grads.items():
+                _accum_weight(params[name], grad)
+            if any(isinstance(params[name], Tensor) for name in _QKV_PARAMS):
+                # one product for the three kernels, split by columns
+                dW = X.T @ dqkv
+                db = np.sum(dqkv, axis=0)
+                for i, name in enumerate(_QKV_PARAMS):
+                    if isinstance(params[name], Tensor):
+                        cols = slice(i // 2 * d, (i // 2 + 1) * d)
+                        _accum(params[name], dW[:, cols] if name.endswith("_kernel")
+                               else db[cols])
         tape.record(_back)
     return out, weights
 

@@ -72,7 +72,7 @@ class ForecastModel:
                 f"{self.variant_id}: expected (batch, {CONTEXT_LEN}, "
                 f"{N_FEATURES}) input, got {x.data.shape}")
 
-    def forward(self, params: Mapping[str, Tensor], x: Tensor, tape: Tape | None = None,
+    def forward(self, params: Mapping[str, nc.Weight], x: Tensor, tape: Tape | None = None,
                 train: bool = False, rng: np.random.Generator | None = None):
         raise NotImplementedError
 
@@ -130,16 +130,10 @@ class RecurrentModel(ForecastModel):
             if li < len(self.layer_units) - 1 and self.dropout_rate > 0.0:
                 seq = nc.dropout(tape, seq, self.dropout_rate, train, rng)
 
-        # additive attention: score_t = v . tanh(W h_t + b), softmax over t
-        e = nc.tanh(tape, nc.add(tape, nc.matmul(tape, seq, params["att_kernel"]),
-                                 params["att_bias"]))
-        scores = nc.matmul(tape, e, params["att_score"])
-        B, T = x.data.shape[0], x.data.shape[1]
-        alpha = nc.softmax(tape, nc.reshape(tape, scores, (B, T)), axis=1)
-        ctx = nc.matmul(tape, nc.reshape(tape, alpha, (B, 1, T)), seq)
-        ctx = nc.reshape(tape, ctx, (B, self.layer_units[-1]))
-        pred = nc.reshape(tape, _dense(tape, params, "out", ctx), (B,))
-        return pred, {"attention": alpha.data.copy()}
+        ctx, alpha = nc.additive_attention(tape, seq, params["att_kernel"],
+                                           params["att_bias"], params["att_score"])
+        pred = nc.reshape(tape, _dense(tape, params, "out", ctx), (x.data.shape[0],))
+        return pred, {"attention": alpha.copy()}
 
 
 # -------------------------------------------------------------- transformer
@@ -442,25 +436,26 @@ def load_bundle(path) -> ModelBundle:
 
 class BundleRunner:
     """The one inference path for a bundle: builds its variant and widens
-    the stored float32 weights to float64 once, then runs forward passes."""
+    the stored float32 weights to float64 once, then runs forward passes.
+
+    The widened weights are plain ndarrays, which nncore treats as
+    constants: a backward pass forms no weight gradient and leaves no state
+    in the runner."""
 
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.model = build_variant(bundle.variant_id)
-        self.params = {k: Tensor(np.asarray(v, dtype=np.float64))
-                       for k, v in bundle.params.items()}
+        self.params = {k: np.asarray(v, dtype=np.float64) for k, v in bundle.params.items()}
 
     def predict(self, batch: np.ndarray) -> tuple[np.ndarray, dict]:
         pred, aux = self.model.forward(self.params, Tensor(batch), tape=None, train=False)
         return pred.data.copy(), aux
 
-    def input_gradients(self, batch: np.ndarray) -> np.ndarray:
-        """Gradient of each row's prediction with respect to that row's
-        input, shaped like the batch."""
+    def input_gradients(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's prediction and its gradient with respect to that row's
+        input, shaped like the batch, from one taped forward pass."""
         tape = Tape()
         x = Tensor(batch)
         pred, _ = self.model.forward(self.params, x, tape, train=False)
         nc.backward(tape, nc.reduce_sum(tape, pred))
-        for p in self.params.values():  # a reused runner keeps no stale gradients
-            p.grad = None
-        return x.grad
+        return pred.data, x.grad

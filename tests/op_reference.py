@@ -3,7 +3,9 @@
 The elementwise product, the axis permutation and the layer norm are tape
 primitives kept here only to spell out the Transformer encoder block one
 operation at a time, the way the model ran it before the block was fused.
-Tests compare nncore.encoder_block against encoder_block_reference.
+Tests compare nncore.encoder_block against encoder_block_reference, and
+nncore.additive_attention against additive_attention_reference, the nine
+primitive ops the recurrent models ran before the head was fused.
 """
 
 import numpy as np
@@ -88,3 +90,13 @@ def encoder_block_reference(tape, x, params, heads, dropout_rate, train=False, r
     h = nc.add(tape, h, ff)
     h = nc.add(tape, mul(tape, layer_norm(tape, h), params["ln2_gamma"]), params["ln2_beta"])
     return h, weights.data.reshape(B, heads, T, T)
+
+
+def additive_attention_reference(tape, seq, W, b, v):
+    """nncore.additive_attention as the primitive ops the recurrent models ran."""
+    B, T, u = seq.data.shape
+    e = nc.tanh(tape, nc.add(tape, nc.matmul(tape, seq, W), b))
+    scores = nc.matmul(tape, e, v)
+    alpha = nc.softmax(tape, nc.reshape(tape, scores, (B, T)), axis=1)
+    ctx = nc.matmul(tape, nc.reshape(tape, alpha, (B, 1, T)), seq)
+    return nc.reshape(tape, ctx, (B, u)), alpha.data

@@ -223,6 +223,29 @@ class TestExitCodes:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["generate", "--duration", "5"], "duration_s=5 shorter than one 10 s window"),
+        (["train", "--data", "{ds}", "--variant", "lin_basic", "--max-epochs", "0"],
+         "max_epochs must be positive"),
+        (["explain", "--bundle", "{run}/lin_basic.bundle.json", "--data", "{ds}",
+          "--steps", "0"], "steps must be positive"),
+        (["serve", "--bundle", "{run}/gru_basic.bundle.json", "--policy-alert", "80"],
+         "need 0 <= alert <= reduce_bitrate <= 100, got 80.0/70.0"),
+        (["serve", "--bundle", "{run}/gru_basic.bundle.json", "--hysteresis", "-1"],
+         "hysteresis must be non-negative"),
+    ], ids=["duration", "max_epochs", "steps", "policy_order", "hysteresis"])
+    def test_option_value_the_library_rejects_is_usage_error(self, flow, tmp_path, capsys,
+                                                             argv, message):
+        # these exited 2, as data errors, and generate made --out first
+        out = tmp_path / "out"
+        argv = [a.format(ds=flow / "ds", run=flow / "run") for a in argv]
+        if argv[0] in ("generate", "train", "explain"):
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: qoecast ") and message in err, err
+        assert not out.exists()
+
     def test_explain_index_out_of_range(self, flow, capsys):
         assert main(["explain",
                      "--bundle", str(flow / "run" / "lin_basic.bundle.json"),

@@ -18,6 +18,7 @@ from qoecast.nncore import (
     Tape,
     Tensor,
     add,
+    additive_attention,
     backward,
     dropout,
     elu,
@@ -38,7 +39,13 @@ from qoecast.nncore import (
 )
 # the elementwise product, axis permutation and layer norm are the op-by-op
 # reference's primitives; their gradient tests below certify that reference
-from op_reference import encoder_block_reference, layer_norm, mul, transpose
+from op_reference import (
+    additive_attention_reference,
+    encoder_block_reference,
+    layer_norm,
+    mul,
+    transpose,
+)
 
 EPS = 1e-5
 TOL = 1e-6
@@ -492,6 +499,146 @@ class TestRecurrentLayers:
             layer(None, Tensor(np.ones((2, 0, 3))), p["W0"], p["U0"], p["b0"])
         with pytest.raises(ShapeMismatch):
             layer(None, Tensor(np.ones((2, 5, 3))), p["W0"], p["U0"], Tensor(np.ones(3)))
+
+
+# -------------------------------------------------------- additive attention
+
+ATTENTION_PARAMS = ("W", "b", "v")
+
+
+def _attention_params(rng, units=8, width=16):
+    return {"W": rng.standard_normal((units, width)) * 0.5,
+            "b": rng.standard_normal(width) * 0.1,
+            "v": rng.standard_normal((width, 1)) * 0.5}
+
+
+def _run_attention(op, params, seq, head_w):
+    """Forward, then backward of sum(ctx * head_w); returns ctx, alpha and
+    the gradients of the sequence and of every weight."""
+    pt = {k: Tensor(v.copy()) for k, v in params.items()}
+    st = Tensor(seq.copy())
+    tape = Tape()
+    ctx, alpha = op(tape, st, pt["W"], pt["b"], pt["v"])
+    backward(tape, reduce_sum(tape, mul(tape, ctx, head_w)))
+    grads = {k: t.grad for k, t in pt.items()}
+    grads["__inputs__"] = st.grad
+    return ctx.data, alpha, grads
+
+
+class TestAdditiveAttention:
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_gradient_check(self, batch, rng):
+        params = _attention_params(rng)
+        head_w = rng.standard_normal((batch, 8))
+
+        def forward(p, x, tape):
+            ctx, _ = additive_attention(tape, x, p["W"], p["b"], p["v"])
+            return reduce_sum(tape, mul(tape, ctx, head_w))
+
+        rep = gradient_check(forward, params, rng.standard_normal((batch, 5, 8)),
+                             max_entries=None)
+        assert rep.passed, rep.per_tensor
+        assert set(rep.per_tensor) == set(ATTENTION_PARAMS) | {"__inputs__"}
+        _assert_few_excluded(rep)
+
+    @pytest.mark.parametrize("batch", [1, 2, 66])
+    def test_matches_primitive_ops_bitwise(self, batch, rng):
+        # the recurrent models' head at its real size: 32 units, width 128
+        params = _attention_params(rng, units=32, width=128)
+        seq = rng.standard_normal((batch, 5, 32))
+        head_w = rng.standard_normal((batch, 32))
+        got = _run_attention(additive_attention, params, seq, head_w)
+        want = _run_attention(additive_attention_reference, params, seq, head_w)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].shape == (batch, 5)
+        assert np.array_equal(got[1], want[1])
+        assert set(got[2]) == set(want[2]) == set(ATTENTION_PARAMS) | {"__inputs__"}
+        for name, g in want[2].items():
+            assert np.array_equal(got[2][name], g), name
+
+    def test_records_one_op_and_nothing_without_tape(self, rng):
+        p = {k: Tensor(v) for k, v in _attention_params(rng).items()}
+        seq = Tensor(rng.standard_normal((3, 5, 8)))
+        tape = Tape()
+        inference, alpha = additive_attention(None, seq, p["W"], p["b"], p["v"])
+        assert len(tape) == 0
+        recorded, alpha_taped = additive_attention(tape, seq, p["W"], p["b"], p["v"])
+        assert len(tape) == 1
+        assert np.array_equal(inference.data, recorded.data)
+        assert np.array_equal(alpha, alpha_taped)
+        assert np.sum(alpha, axis=1) == pytest.approx(np.ones(3), abs=1e-12)
+
+    def test_shapes_checked(self, rng):
+        p = _attention_params(rng)
+        seq = Tensor(np.ones((2, 5, 8)))
+        for bad in (dict(p, W=np.ones((7, 16))), dict(p, b=np.ones(15)),
+                    dict(p, v=np.ones((16, 2))), dict(p, v=np.ones(16))):
+            with pytest.raises(ShapeMismatch):
+                additive_attention(None, seq, bad["W"], bad["b"], bad["v"])
+        with pytest.raises(ShapeMismatch):
+            additive_attention(None, Tensor(np.ones((2, 8))), p["W"], p["b"], p["v"])
+
+
+# ------------------------------------------------------ constant weights
+#
+# An ndarray weight is a constant: the op forms and stores no gradient for
+# it, and the input gradient is the same bits as with a Tensor weight.
+
+def _input_grad(op, x, weights, as_tensors):
+    """Input gradient of sum(op(x, *weights) * head), head fixed by seed."""
+    ws = [Tensor(w.copy()) if as_tensors else w.copy() for w in weights]
+    xt = Tensor(x.copy())
+    tape = Tape()
+    out = op(tape, xt, *ws)
+    head = np.random.default_rng(7).standard_normal(out.data.shape)
+    backward(tape, reduce_sum(tape, mul(tape, out, head)))
+    return xt.grad, ws
+
+
+def _encoder(tape, x, *weights):
+    out, _ = encoder_block(tape, x, dict(zip(ENCODER_PARAMS, weights)), 2, 0.1)
+    return out
+
+
+def _attention(tape, x, W, b, v):
+    return additive_attention(tape, x, W, b, v)[0]
+
+
+def _constant_weight_cases(rng):
+    rec = _layer_params(rng, 3, d=6, units=8)
+    lstm = _layer_params(rng, 4, d=6, units=8)
+    enc = _encoder_params(rng)
+    att = _attention_params(rng)
+    return {
+        "matmul": (matmul, rng.standard_normal((4, 5, 6)), [rng.standard_normal((6, 3))]),
+        "matmul_batched": (matmul, rng.standard_normal((4, 2, 6)),
+                           [rng.standard_normal((4, 6, 3))]),
+        "add": (add, rng.standard_normal((4, 5, 6)), [rng.standard_normal(6)]),
+        "gru_layer": (gru_layer, rng.standard_normal((4, 5, 6)),
+                      [rec["W0"], rec["U0"], rec["b0"]]),
+        "lstm_layer": (lstm_layer, rng.standard_normal((4, 5, 6)),
+                       [lstm["W0"], lstm["U0"], lstm["b0"]]),
+        "additive_attention": (_attention, rng.standard_normal((4, 5, 8)),
+                               [att[k] for k in ATTENTION_PARAMS]),
+        "encoder_block": (_encoder, rng.standard_normal((4, 5, 32)),
+                          [enc[k] for k in ENCODER_PARAMS]),
+    }
+
+
+CONSTANT_WEIGHT_OPS = ("matmul", "matmul_batched", "add", "gru_layer", "lstm_layer",
+                       "additive_attention", "encoder_block")
+
+
+@pytest.mark.parametrize("name", CONSTANT_WEIGHT_OPS)
+def test_ndarray_weights_are_constants(name, rng):
+    op, x, weights = _constant_weight_cases(rng)[name]
+    learned, tensors = _input_grad(op, x, weights, as_tensors=True)
+    fixed, arrays = _input_grad(op, x, weights, as_tensors=False)
+    assert np.array_equal(fixed, learned)
+    assert all(t.grad is not None for t in tensors)
+    # the constants come back untouched and still plain arrays
+    assert all(type(a) is np.ndarray and np.array_equal(a, w)
+               for a, w in zip(arrays, weights))
 
 
 # ------------------------------------------------------------- encoder block
