@@ -17,11 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySplit, ScalerMismatch
-from .pipeline import (CONTEXT_LEN, N_FEATURES, PreparedDataset, inverse_target,
-                       scaler_fingerprint)
+from .pipeline import CONTEXT_LEN, N_FEATURES, PreparedDataset, inverse_target
 from .zoo import BundleRunner, ModelBundle, last_value_baseline
 
-EVAL_BATCH = 256  # test rows per forward pass; predictions do not depend on it
 LATENCY_BATCH = 16
 LATENCY_WARMUP = 10
 LATENCY_REPS = 100
@@ -69,7 +67,8 @@ def _test_arrays(dataset: PreparedDataset):
 
 def check_scaler(bundle: ModelBundle, dataset: PreparedDataset) -> None:
     """Raise ScalerMismatch unless the bundle was trained on this scaler."""
-    if scaler_fingerprint(bundle.scaler) != scaler_fingerprint(dataset.scaler):
+    a, b = bundle.scaler, dataset.scaler
+    if not (np.array_equal(a.mins, b.mins) and np.array_equal(a.maxs, b.maxs)):
         raise ScalerMismatch(
             f"{bundle.variant_id}: bundle scaler does not match dataset scaler")
 
@@ -93,9 +92,7 @@ def evaluate(bundle: ModelBundle, dataset: PreparedDataset) -> MetricsReport:
     check_scaler(bundle, dataset)
     X, y = _test_arrays(dataset)
     runner = BundleRunner(bundle)
-    preds = np.concatenate([
-        runner.predict(X[i : i + EVAL_BATCH])[0] for i in range(0, len(X), EVAL_BATCH)
-    ])
+    preds = runner.predict(X)[0]  # one pass: a prediction's last bits depend on the batch
     return _metrics(bundle.variant_id, runner.model.model_class, dataset, preds, y)
 
 

@@ -81,14 +81,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
@@ -262,16 +254,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def tanh(tape: Tape | None, x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = Tensor(y)
-    if tape is not None:
-        def _back():
-            _accum(x, out.grad * (1.0 - y * y))
-        tape.record(_back)
-    return out
-
-
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0))
@@ -290,20 +272,6 @@ def elu(tape: Tape | None, x: Tensor) -> Tensor:
     if tape is not None:
         def _back():
             _accum(x, out.grad * np.where(pos, 1.0, expm + ELU_ALPHA))
-        tape.record(_back)
-    return out
-
-
-def softmax(tape: Tape | None, x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor(y)
-    if tape is not None:
-        def _back():
-            g = out.grad
-            inner = np.sum(g * y, axis=axis, keepdims=True)
-            _accum(x, y * (g - inner))
         tape.record(_back)
     return out
 
@@ -769,114 +737,3 @@ def init_params(specs: Sequence[ParamSpec], seed: int) -> dict[str, np.ndarray]:
             raise ValueError(f"unknown init family: {spec.init}")
         out[spec.name] = np.asarray(arr, dtype=np.float64)
     return out
-
-
-# ------------------------------------------------------------ gradient check
-
-@dataclass
-class GradientCheckReport:
-    max_rel_err: float
-    per_tensor: dict[str, float]
-    checked_entries: int
-    passed: bool
-    nonsmooth_entries: int = 0
-
-    @property
-    def probed_entries(self) -> int:
-        """Coordinates probed: the checked ones plus the excluded ones."""
-        return self.checked_entries + self.nonsmooth_entries
-
-
-def gradient_check(
-    forward_fn: Callable[[dict[str, Tensor], Tensor, Tape | None], Tensor],
-    params: dict[str, np.ndarray],
-    inputs: np.ndarray,
-    eps: float = 1e-4,
-    tol_rel: float = 1e-5,
-    max_entries: int | None = 256,
-    seed: int = 0,
-) -> GradientCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    forward_fn must map (params-as-tensors, input tensor, tape) to a scalar
-    Tensor and be deterministic. Tensors larger than max_entries get a
-    seeded random subset of coordinates; every checked coordinate is a
-    genuine central difference with the given eps. Relative error is
-    |a - n| / max(1, |a|, |n|).
-
-    Coordinates where the eps and eps/2 difference quotients disagree beyond
-    tol_rel/2 are counted in nonsmooth_entries and excluded: either a kink
-    (a relu pre-activation within eps of zero) sits inside the probed
-    interval, so the quotient blends one-sided derivatives, or curvature
-    exceeds what this eps resolves; in both cases the quotient cannot
-    certify the gradient to tol_rel. Smooth coordinates agree to O(eps^2)
-    and stay far inside the gate. `passed` speaks only for the checked
-    coordinates; probed_entries (checked + nonsmooth) lets a caller bound
-    the excluded share.
-    """
-    p_tensors = {k: Tensor(v) for k, v in params.items()}
-    x_tensor = Tensor(inputs)
-    tape = Tape()
-    out = forward_fn(p_tensors, x_tensor, tape)
-    backward(tape, out)
-    analytic = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for k, t in p_tensors.items()}
-    analytic["__inputs__"] = (x_tensor.grad if x_tensor.grad is not None
-                              else np.zeros_like(x_tensor.data))
-
-    work_params = {k: v.copy() for k, v in params.items()}
-    work_inputs = np.array(inputs, dtype=np.float64, copy=True)
-
-    def evaluate() -> float:
-        pt = {k: Tensor(v) for k, v in work_params.items()}
-        return float(forward_fn(pt, Tensor(work_inputs), None).data)
-
-    rng = np.random.default_rng(seed)
-    per_tensor: dict[str, float] = {}
-    checked = 0
-    nonsmooth = 0
-    tensors = dict(work_params)
-    tensors["__inputs__"] = work_inputs
-    for name, arr in tensors.items():
-        flat = arr.reshape(-1)
-        n = flat.size
-        if max_entries is None or n <= max_entries:
-            idxs = np.arange(n)
-        else:
-            idxs = rng.choice(n, size=max_entries, replace=False)
-        worst = 0.0
-        a_flat = analytic[name].reshape(-1)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = evaluate()
-            flat[i] = orig - eps
-            f_minus = evaluate()
-            flat[i] = orig + 0.5 * eps
-            f_plus_half = evaluate()
-            flat[i] = orig - 0.5 * eps
-            f_minus_half = evaluate()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            numeric_half = (f_plus_half - f_minus_half) / eps
-            # for a straddled kink the quotient disagreement equals the
-            # quotient's own error, so gating at tol/2 leaves nothing
-            # larger than tol in the comparison set
-            gate = 0.5 * tol_rel * max(1.0, abs(numeric), abs(numeric_half))
-            if abs(numeric - numeric_half) > gate:
-                nonsmooth += 1
-                continue
-            a = a_flat[i]
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if rel > worst:
-                worst = rel
-            checked += 1
-        per_tensor[name] = worst
-    max_rel = max(per_tensor.values()) if per_tensor else 0.0
-    return GradientCheckReport(
-        max_rel_err=max_rel,
-        per_tensor=per_tensor,
-        checked_entries=checked,
-        passed=max_rel <= tol_rel,
-        nonsmooth_entries=nonsmooth,
-    )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +46,20 @@ CONTEXT_LEN = 5  # windows of model input
 HORIZON = 1  # windows from the last input window to the target window
 SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # chronological train/val/test
 MIN_SEQUENCES = 10
+
+# the protocol geometry as dataset.json states it; a bundle states all but
+# the horizon
+GEOMETRY = {"window_s": WINDOW_S, "context_len": CONTEXT_LEN, "horizon": HORIZON,
+            "feature_order": list(FEATURE_NAMES)}
+
+
+def check_geometry(doc: dict, source, keys=tuple(GEOMETRY)) -> None:
+    """Raise ShapeMismatch naming `source` and the first of `keys` whose
+    value in doc is not the protocol's; a missing key raises KeyError."""
+    for key in keys:
+        if doc[key] != GEOMETRY[key]:
+            raise ShapeMismatch(f"{source}: {key} is {doc[key]!r}, "
+                                f"the model zoo takes {GEOMETRY[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -149,14 +162,6 @@ class ScalerStats:
 
 def _finite_number(v) -> bool:  # NaN, infinities and ints past the float range fail
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-def scaler_fingerprint(stats: ScalerStats) -> int:
-    """CRC-32 over the little-endian float64 bytes of to_dict's values, in order."""
-    q = [QOE_FEATURE]
-    values = np.concatenate((stats.mins, stats.maxs, stats.mins[q], stats.maxs[q],
-                             stats.degenerate))
-    return zlib.crc32(values.astype("<f8").tobytes())
 
 
 def fit_scaler(windows: list[WindowFeatures]) -> ScalerStats:
@@ -309,10 +314,7 @@ def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
     (out / "scaler.json").write_text(
         json.dumps(ds.scaler.to_dict(), indent=2) + "\n", encoding="utf-8")
     (out / "dataset.json").write_text(json.dumps({
-        "window_s": WINDOW_S,
-        "context_len": CONTEXT_LEN,
-        "horizon": HORIZON,
-        "feature_order": list(FEATURE_NAMES),
+        **GEOMETRY,
         **_split_facts(ds),
         "dropped_windows": [list(d) for d in ds.dropped_windows],
     }, indent=2) + "\n", encoding="utf-8")
@@ -363,13 +365,8 @@ def load_dataset(in_dir: str | Path) -> PreparedDataset:
     src = Path(in_dir)
     meta_path, scaler_path = src / "dataset.json", src / "scaler.json"
     meta = load_json(meta_path.read_text(encoding="utf-8"), meta_path)
-    fixed = {"window_s": WINDOW_S, "context_len": CONTEXT_LEN, "horizon": HORIZON,
-             "feature_order": list(FEATURE_NAMES)}
     try:
-        for key, want in fixed.items():
-            if meta[key] != want:
-                raise ShapeMismatch(f"{meta_path}: {key} is {meta[key]!r}, "
-                                    f"the model zoo takes {want!r}")
+        check_geometry(meta, meta_path)
         dropped = [tuple(d) for d in meta.get("dropped_windows", [])]
         stored = {key: meta[key] for key in ("counts", "train_end_ts_ms", "val_end_ts_ms")}
     except (KeyError, TypeError) as exc:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OutOfOrderSample, QoecastError, ScalerMissing
 from .explain import integrated_gradients
-from .pipeline import CONTEXT_LEN, inverse_target, scale_features
+from .pipeline import CONTEXT_LEN, HORIZON, inverse_target, scale_features
 from .synthgen import window_qoe
 from .telemetry import (WINDOW_MS, WINDOW_S, TelemetrySample, Window, WindowAggregator,
                         _parse_record, decode_json_line)
@@ -186,7 +186,7 @@ class StreamState:
         self.stats.actions[action] += 1
         return ForecastDecision(
             ts_ms=(window_index + 1) * WINDOW_MS,
-            horizon_s=WINDOW_S,
+            horizon_s=HORIZON * WINDOW_S,
             qoe_pred=pred,
             action=action,
             inputs_scaled=scaled,

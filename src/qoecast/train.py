@@ -400,25 +400,6 @@ def solve_lasso(
                         f"in {max_iter} iterations")
 
 
-def kkt_residual(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
-                 l1: float, l2: float = 0.0) -> float:
-    """Largest violation of the subgradient optimality conditions.
-
-    For each coordinate: |grad_j + l1*sign(w_j)| when w_j != 0, else the
-    excess of |grad_j| over l1. The bias condition is a zero mean residual.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    n = len(y)
-    r = y - b - X @ w
-    grad = -(2.0 / n) * (X.T @ r) + 2.0 * l2 * w
-    at_zero = np.maximum(np.abs(grad) - l1, 0.0)
-    off_zero = np.abs(grad + l1 * np.sign(w))
-    worst = np.max(np.where(w != 0.0, off_zero, at_zero), initial=0.0)
-    return max(abs(2.0 * float(r.mean())), float(worst))
-
-
 def fit_linear(variant_id: str, dataset: PreparedDataset,
                config: TrainConfig) -> tuple[ModelBundle, TrainHistory]:
     """Fit one linear variant on the (flattened) train split."""

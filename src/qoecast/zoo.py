@@ -27,12 +27,13 @@ from . import nncore as nc
 from .errors import (ChecksumMismatch, ShapeMismatch, UnknownVariant, VersionMismatch,
                      load_json, malformed)
 from .nncore import ParamSpec, Tape, Tensor
-from .pipeline import CONTEXT_LEN, FEATURE_NAMES, N_FEATURES, QOE_FEATURE, ScalerStats
-from .telemetry import WINDOW_S
+from .pipeline import (CONTEXT_LEN, GEOMETRY, N_FEATURES, QOE_FEATURE, ScalerStats,
+                       check_geometry)
 
 ATTENTION_WIDTH = 128
 D_MODEL = 32
 BUNDLE_FORMAT_VERSION = 1
+BUNDLE_GEOMETRY = ("window_s", "context_len", "feature_order")  # GEOMETRY less the horizon
 
 
 def _dense_specs(name: str, n_in: int, n_out: int) -> list[ParamSpec]:
@@ -62,9 +63,6 @@ class ForecastModel:
 
     def init_params(self, seed: int) -> dict[str, np.ndarray]:
         return nc.init_params(self.param_specs, seed)
-
-    def param_count(self) -> int:
-        return int(sum(int(np.prod(s.shape)) for s in self.param_specs))
 
     def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 3 or x.data.shape[1:] != (CONTEXT_LEN, N_FEATURES):
@@ -310,7 +308,7 @@ class ModelBundle:
     """Portable trained model: weights at 32-bit plus the scaler its inputs
     need. The window length, context length, feature order and format
     version are the protocol's constants, which serialize writes and
-    deserialize checks."""
+    load_bundle checks."""
 
     variant_id: str
     scaler: ScalerStats
@@ -334,14 +332,12 @@ def params_checksum(params: Mapping[str, np.ndarray]) -> int:
 
 def serialize(bundle: ModelBundle) -> str:
     """Render a bundle as a UTF-8 JSON document. Parameters are stored at
-    float32 precision; deserialize(serialize(b)) restores them bit-exactly."""
+    float32 precision; load_bundle restores them bit-exactly."""
     params32 = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in bundle.params.items()}
     doc = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "variant_id": bundle.variant_id,
-        "window_s": WINDOW_S,
-        "context_len": CONTEXT_LEN,
-        "feature_order": list(FEATURE_NAMES),
+        **{key: GEOMETRY[key] for key in BUNDLE_GEOMETRY},
         "scaler": bundle.scaler.to_dict(),
         "params": [
             {
@@ -357,8 +353,12 @@ def serialize(bundle: ModelBundle) -> str:
     return json.dumps(doc, indent=1)
 
 
-def deserialize(text: str) -> ModelBundle:
-    """Parse and validate a bundle document.
+def save_bundle(bundle: ModelBundle, path) -> None:
+    Path(path).write_text(serialize(bundle) + "\n", encoding="utf-8")
+
+
+def load_bundle(path) -> ModelBundle:
+    """Read and validate a bundle file.
 
     Checks the format version, the geometry against the fixed protocol, the
     CRC-32 of the params section, declared shapes against value counts, and
@@ -366,25 +366,17 @@ def deserialize(text: str) -> ModelBundle:
     context_len or feature_order other than the protocol's raises
     ShapeMismatch naming the field, as load_dataset does; so does a JSON
     syntax error, a missing key, a value of the wrong JSON type or a bad
-    scaler.
+    scaler. Every error names the file.
     """
-    return _parse_bundle(text, "bundle")
-
-
-def _parse_bundle(text: str, source) -> ModelBundle:
-    doc = load_json(text, source)
+    doc = load_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(doc, dict):
-        raise ShapeMismatch(f"{source}: not a JSON object")
+        raise ShapeMismatch(f"{path}: not a JSON object")
     version = doc.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionMismatch(
-            f"{source}: format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
+            f"{path}: format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
     try:
-        for key, want in (("window_s", WINDOW_S), ("context_len", CONTEXT_LEN),
-                          ("feature_order", list(FEATURE_NAMES))):
-            if doc[key] != want:
-                raise ShapeMismatch(f"{source}: {key} is {doc[key]!r}, "
-                                    f"the model zoo takes {want!r}")
+        check_geometry(doc, path, BUNDLE_GEOMETRY)
         variant_id = doc["variant_id"]
         model = build_variant(variant_id)  # raises UnknownVariant
 
@@ -394,44 +386,34 @@ def _parse_bundle(text: str, source) -> ModelBundle:
             values = np.asarray(entry["values"], dtype=np.float32)
             if values.size != int(np.prod(shape)):
                 raise ShapeMismatch(
-                    f"{source}: param {entry['name']!r}: {values.size} values "
+                    f"{path}: param {entry['name']!r}: {values.size} values "
                     f"for shape {shape}")
             params[entry["name"]] = values.reshape(shape)
 
         expected = {s.name: s.shape for s in model.param_specs}
         if list(params) != list(expected):
             raise ShapeMismatch(
-                f"{source}: params {list(params)} do not match {variant_id} "
+                f"{path}: params {list(params)} do not match {variant_id} "
                 f"spec {list(expected)}")
         for name, shape in expected.items():
             if params[name].shape != shape:
                 raise ShapeMismatch(
-                    f"{source}: param {name!r} has shape {params[name].shape}, "
+                    f"{path}: param {name!r} has shape {params[name].shape}, "
                     f"spec {shape}")
 
         stored = doc.get("checksum")
         actual = params_checksum(params)
         if stored != actual:
-            raise ChecksumMismatch(f"{source}: params checksum {actual} != stored {stored}")
+            raise ChecksumMismatch(f"{path}: params checksum {actual} != stored {stored}")
 
         return ModelBundle(
             variant_id=variant_id,
-            scaler=ScalerStats.from_dict(doc["scaler"], source),
+            scaler=ScalerStats.from_dict(doc["scaler"], path),
             params=params,
             meta=doc.get("meta", {}),
         )
     except (KeyError, TypeError) as exc:
-        raise malformed(source, exc) from None
-
-
-def save_bundle(bundle: ModelBundle, path) -> None:
-    Path(path).write_text(serialize(bundle) + "\n", encoding="utf-8")
-
-
-def load_bundle(path) -> ModelBundle:
-    """Read a bundle file with deserialize's checks; their errors name the
-    file where deserialize's say "bundle"."""
-    return _parse_bundle(Path(path).read_text(encoding="utf-8"), path)
+        raise malformed(path, exc) from None
 
 
 class BundleRunner:

@@ -1,8 +1,8 @@
 """Op-by-op references for the fused nncore kernels.
 
-The elementwise product, the axis permutation and the layer norm are tape
-primitives kept here only to spell out the Transformer encoder block one
-operation at a time, the way the model ran it before the block was fused.
+The elementwise product, the axis permutation, tanh, softmax and the layer
+norm are tape primitives kept here only to spell out the fused ops one
+operation at a time, the way the models ran them before they were fused.
 Tests compare nncore.encoder_block against encoder_block_reference, and
 nncore.additive_attention against additive_attention_reference, the nine
 primitive ops the recurrent models ran before the head was fused.
@@ -43,6 +43,30 @@ def transpose(tape: Tape | None, x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return out
 
 
+def tanh(tape: Tape | None, x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+    out = Tensor(y)
+    if tape is not None:
+        def _back():
+            nc._accum(x, out.grad * (1.0 - y * y))
+        tape.record(_back)
+    return out
+
+
+def softmax(tape: Tape | None, x: Tensor, axis: int = -1) -> Tensor:
+    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / np.sum(e, axis=axis, keepdims=True)
+    out = Tensor(y)
+    if tape is not None:
+        def _back():
+            g = out.grad
+            inner = np.sum(g * y, axis=axis, keepdims=True)
+            nc._accum(x, y * (g - inner))
+        tape.record(_back)
+    return out
+
+
 def layer_norm(tape: Tape | None, x: Tensor, eps: float = nc.LAYER_NORM_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine part)."""
     mu = np.mean(x.data, axis=-1, keepdims=True)
@@ -74,7 +98,7 @@ def encoder_block_reference(tape, x, params, heads, dropout_rate, train=False, r
     k = split_heads(_dense(tape, params, "wk", x))
     v = split_heads(_dense(tape, params, "wv", x))
     scores = mul(tape, nc.matmul(tape, q, transpose(tape, k, (0, 2, 1))), 1.0 / np.sqrt(hd))
-    weights = nc.softmax(tape, scores, axis=2)
+    weights = softmax(tape, scores, axis=2)
     att = nc.matmul(tape, weights, v)
     att = nc.reshape(tape, att, (B, heads, T, hd))
     att = transpose(tape, att, (0, 2, 1, 3))
@@ -95,8 +119,8 @@ def encoder_block_reference(tape, x, params, heads, dropout_rate, train=False, r
 def additive_attention_reference(tape, seq, W, b, v):
     """nncore.additive_attention as the primitive ops the recurrent models ran."""
     B, T, u = seq.data.shape
-    e = nc.tanh(tape, nc.add(tape, nc.matmul(tape, seq, W), b))
+    e = tanh(tape, nc.add(tape, nc.matmul(tape, seq, W), b))
     scores = nc.matmul(tape, e, v)
-    alpha = nc.softmax(tape, nc.reshape(tape, scores, (B, T)), axis=1)
+    alpha = softmax(tape, nc.reshape(tape, scores, (B, T)), axis=1)
     ctx = nc.matmul(tape, nc.reshape(tape, alpha, (B, 1, T)), seq)
     return nc.reshape(tape, ctx, (B, u)), alpha.data

@@ -17,7 +17,7 @@ import pytest
 from qoecast.cli import main
 from qoecast.evaluation import LatencyBudget, benchmark_latency, evaluate, evaluate_baseline
 from qoecast.explain import integrated_gradients
-from qoecast.nncore import Tape, gradient_check, reduce_sum
+from qoecast.nncore import Tape, reduce_sum
 from qoecast.pipeline import (
     build_dataset,
     inverse_target,
@@ -30,7 +30,6 @@ from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle
 from qoecast.telemetry import TelemetrySample, write_trace
 from qoecast.train import (
     TrainConfig,
-    kkt_residual,
     logcosh_value,
     run_all_variants,
     solve_lasso,
@@ -47,6 +46,7 @@ from qoecast.zoo import (
     load_bundle,
 )
 from op_reference import mul
+from oracles import gradient_check, kkt_residual
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -225,6 +225,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["generate", "--duration", "5"], "duration_s=5 shorter than one 10 s window"),
+        (["generate", "--traces", "0"], "traces must be at least 1, got 0"),
+        (["generate", "--traces", "-2", "--duration", "20"], "traces must be at least 1, got -2"),
         (["train", "--data", "{ds}", "--variant", "lin_basic", "--max-epochs", "0"],
          "max_epochs must be positive"),
         (["explain", "--bundle", "{run}/lin_basic.bundle.json", "--data", "{ds}",
@@ -233,10 +235,12 @@ class TestExitCodes:
          "need 0 <= alert <= reduce_bitrate <= 100, got 80.0/70.0"),
         (["serve", "--bundle", "{run}/gru_basic.bundle.json", "--hysteresis", "-1"],
          "hysteresis must be non-negative"),
-    ], ids=["duration", "max_epochs", "steps", "policy_order", "hysteresis"])
+    ], ids=["duration", "traces_0", "traces_negative", "max_epochs", "steps", "policy_order",
+            "hysteresis"])
     def test_option_value_the_library_rejects_is_usage_error(self, flow, tmp_path, capsys,
                                                              argv, message):
-        # these exited 2, as data errors, and generate made --out first
+        # these exited 2, as data errors (a trace count below 1 exited 0), and
+        # generate made --out first
         out = tmp_path / "out"
         argv = [a.format(ds=flow / "ds", run=flow / "run") for a in argv]
         if argv[0] in ("generate", "train", "explain"):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qoecast.evaluation import (
     LatencyStats,
     MetricsReport,
     benchmark_latency,
+    check_scaler,
     evaluate,
     evaluate_baseline,
     export_error_density,
@@ -79,6 +81,14 @@ class TestEvaluate:
         bundle.scaler = ScalerStats(mins=s.mins + 1e-9, maxs=s.maxs)
         with pytest.raises(ScalerMismatch):
             evaluate(bundle, ds)
+
+    def test_scaler_compared_by_value(self, small_dataset):
+        # -0.0 and 0.0 scale alike, so a bundle holding either one matches
+        maxs = small_dataset.scaler.maxs
+        ds = dataclasses.replace(small_dataset, scaler=ScalerStats(mins=np.zeros(6), maxs=maxs))
+        bundle = _linear_probe_bundle(ds)
+        bundle.scaler = ScalerStats(mins=-np.zeros(6), maxs=maxs)
+        check_scaler(bundle, ds)
 
     def test_empty_test_split(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path / "ds")

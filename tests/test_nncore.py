@@ -24,7 +24,6 @@ from qoecast.nncore import (
     elu,
     encoder_block,
     glorot_uniform,
-    gradient_check,
     gru_layer,
     init_params,
     lstm_layer,
@@ -34,18 +33,20 @@ from qoecast.nncore import (
     reduce_sum,
     relu,
     reshape,
-    softmax,
-    tanh,
 )
-# the elementwise product, axis permutation and layer norm are the op-by-op
-# reference's primitives; their gradient tests below certify that reference
+# the elementwise product, axis permutation, tanh, softmax and layer norm are
+# the op-by-op reference's primitives; their gradient tests below certify
+# that reference
 from op_reference import (
     additive_attention_reference,
     encoder_block_reference,
     layer_norm,
     mul,
+    softmax,
+    tanh,
     transpose,
 )
+from oracles import gradient_check
 
 EPS = 1e-5
 TOL = 1e-6

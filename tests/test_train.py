@@ -30,7 +30,6 @@ from qoecast.train import (
     Adam,
     TrainConfig,
     fit_linear,
-    kkt_residual,
     logcosh_loss,
     logcosh_value,
     mse_value,
@@ -43,6 +42,7 @@ from qoecast.train import (
     train_variant,
 )
 from qoecast.zoo import ALL_VARIANTS, LINEAR_VARIANTS, build_variant, serialize
+from oracles import kkt_residual
 
 
 class TestLosses:

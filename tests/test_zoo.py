@@ -19,7 +19,6 @@ from qoecast.zoo import (
     BundleRunner,
     ModelBundle,
     build_variant,
-    deserialize,
     last_value_baseline,
     load_bundle,
     params_checksum,
@@ -27,6 +26,7 @@ from qoecast.zoo import (
     serialize,
     sinusoidal_positions,
 )
+from oracles import param_count
 
 EXPECTED_VARIANTS = (
     "lstm_basic", "lstm_wide", "lstm_deep",
@@ -62,7 +62,7 @@ class TestRegistry:
     def test_param_count_matches_specs(self):
         for vid in ALL_VARIANTS:
             m = build_variant(vid)
-            assert m.param_count() == sum(int(np.prod(s.shape)) for s in m.param_specs)
+            assert param_count(m) == sum(int(np.prod(s.shape)) for s in m.param_specs)
 
 
 class TestParamCounts:
@@ -83,8 +83,8 @@ class TestParamCounts:
         assert n_cell == 4992  # 6*128 + 32*128 + 128
 
     def test_totals_with_attention_and_head(self):
-        assert build_variant("gru_basic").param_count() == 8129
-        assert build_variant("lstm_basic").param_count() == 9377
+        assert param_count(build_variant("gru_basic")) == 8129
+        assert param_count(build_variant("lstm_basic")) == 9377
 
 
 def _sig(x):
@@ -243,76 +243,83 @@ def _make_bundle(vid="gru_basic", seed=0, meta=None):
                        params=params, meta=meta or {"val_mae": 0.05})
 
 
+def _load_text(tmp_path, text):
+    """Write a bundle document where load_bundle, the program's reader, reads it."""
+    path = tmp_path / "model.bundle.json"
+    path.write_text(text, encoding="utf-8")
+    return load_bundle(path)
+
+
 class TestBundles:
-    def test_serialize_round_trip_bit_exact(self):
+    def test_serialize_round_trip_bit_exact(self, tmp_path):
         b = _make_bundle()
         text = serialize(b)
-        again = serialize(deserialize(text))
+        again = serialize(_load_text(tmp_path, text))
         assert text == again
 
-    def test_params_restored_exactly_as_float32(self):
+    def test_params_restored_exactly_as_float32(self, tmp_path):
         b = _make_bundle()
-        back = deserialize(serialize(b))
+        back = _load_text(tmp_path, serialize(b))
         for k, v in b.params.items():
             assert back.params[k].dtype == np.float32
             assert np.array_equal(back.params[k], v)
         assert back.meta == b.meta
         assert back.variant_id == "gru_basic"
 
-    def test_checksum_tamper_detected(self):
+    def test_checksum_tamper_detected(self, tmp_path):
         doc = json.loads(serialize(_make_bundle()))
         doc["params"][0]["values"][0] += 0.5
         with pytest.raises(ChecksumMismatch):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
-    def test_stored_checksum_tamper_detected(self):
+    def test_stored_checksum_tamper_detected(self, tmp_path):
         doc = json.loads(serialize(_make_bundle()))
         doc["checksum"] += 1
         with pytest.raises(ChecksumMismatch):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
-    def test_version_mismatch(self):
+    def test_version_mismatch(self, tmp_path):
         doc = json.loads(serialize(_make_bundle()))
         doc["format_version"] = BUNDLE_FORMAT_VERSION + 1
         with pytest.raises(VersionMismatch):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
-    def test_unknown_variant_rejected(self):
+    def test_unknown_variant_rejected(self, tmp_path):
         doc = json.loads(serialize(_make_bundle()))
         doc["variant_id"] = "resnet"
         with pytest.raises(UnknownVariant):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
-    def test_shape_tamper_detected(self):
+    def test_shape_tamper_detected(self, tmp_path):
         doc = json.loads(serialize(_make_bundle()))
         doc["params"][0]["shape"][0] += 1
         with pytest.raises(ShapeMismatch):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
-    def test_missing_param_detected(self):
+    def test_missing_param_detected(self, tmp_path):
         doc = json.loads(serialize(_make_bundle()))
         doc["params"] = doc["params"][:-1]
         with pytest.raises(ShapeMismatch):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
-    def test_spec_shape_enforced(self):
+    def test_spec_shape_enforced(self, tmp_path):
         # right names and value counts, but a transposed kernel shape
         doc = json.loads(serialize(_make_bundle("lin_basic")))
         entry = next(e for e in doc["params"] if e["name"] == "weights")
         entry["shape"] = [1, 30]
         with pytest.raises(ShapeMismatch):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
     @pytest.mark.parametrize("key,value", [("context_len", 3),
                                            ("feature_order", list(FEATURE_NAMES[::-1])),
                                            ("window_s", 5)])
-    def test_other_geometry_rejected(self, key, value):
+    def test_other_geometry_rejected(self, key, value, tmp_path):
         # the checksum covers only the params, so an edited geometry used to
         # load and fail later, or be served silently
         doc = json.loads(serialize(_make_bundle()))
         doc[key] = value
         with pytest.raises(ShapeMismatch, match=key):
-            deserialize(json.dumps(doc))
+            _load_text(tmp_path, json.dumps(doc))
 
     def test_checksum_sensitive_to_name_and_order(self):
         b = _make_bundle("lin_basic")
