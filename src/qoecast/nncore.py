@@ -312,6 +312,14 @@ def dropout(tape: Tape | None, x: Tensor, rate: float, train: bool,
 # backpropagates through time: it fills the pre-activation gradient of
 # every step into one array, then forms the input-side gradients with one
 # product each (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
+#
+# gru_steps and lstm_steps run a stretch of a layer's steps without a tape,
+# so that inference can run the steps that read only earlier inputs ahead
+# of the last one. Each cell has one step loop, which the layer and both
+# stretches share. Each stretch projects the whole input: for a fixed
+# operand shape a row of a product depends only on its own input row, so
+# a stretch's states do not depend on the input rows after its last step,
+# and the two stretches give the bits of one run.
 
 def _check_recurrent(name: str, x: np.ndarray, W: np.ndarray, U: np.ndarray,
                      b: np.ndarray, gates: int) -> tuple[int, int, int]:
@@ -327,6 +335,19 @@ def _check_recurrent(name: str, x: np.ndarray, W: np.ndarray, U: np.ndarray,
     return x.shape[0], x.shape[1], units
 
 
+def _project(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every step's input projection x @ W + b, (batch, time, gates * units)."""
+    gx = np.matmul(x, W)
+    gx += b
+    return gx
+
+
+def stack_states(hs: Sequence[np.ndarray]) -> np.ndarray:
+    """The (B, u) states of consecutive steps as one (B, steps, u) array."""
+    B, u = hs[0].shape
+    return np.concatenate(hs, axis=1).reshape(B, len(hs), u)
+
+
 def _accum_inputs(x: Tensor, W: Weight, b: Weight, dgx: np.ndarray) -> None:
     """Gradients of the projection x @ W + b from all steps' gate gradients."""
     Wd = _as_array(W)
@@ -334,6 +355,43 @@ def _accum_inputs(x: Tensor, W: Weight, b: Weight, dgx: np.ndarray) -> None:
     _accum_weight(W, lambda: x.data.reshape(-1, d).T @ dgx.reshape(-1, width))
     _accum_weight(b, lambda: dgx.sum(axis=(0, 1)))
     _accum(x, dgx @ Wd.T)
+
+
+def _gru_steps(gx: np.ndarray, U: np.ndarray, h: np.ndarray, hs: list[np.ndarray],
+               stop: int, saved: list | None = None) -> np.ndarray:
+    """GRU steps len(hs) .. stop - 1 over the projections gx, from the state
+    h before the first of them. Appends each step's state to hs and, when
+    saved is a list, its (z|r, candidate) for backpropagation; returns the
+    last state."""
+    u = U.shape[0]
+    U_zr, U_h = U[:, : 2 * u], U[:, 2 * u :]
+    for t in range(len(hs), stop):
+        a = gx[:, t]
+        zr = h @ U_zr
+        zr += a[:, : 2 * u]
+        _sigmoid(zr)
+        c = (zr[:, u:] * h) @ U_h
+        c += a[:, 2 * u :]
+        np.tanh(c, out=c)
+        hn = c - h
+        hn *= zr[:, :u]
+        hn += h
+        h = hn
+        hs.append(h)
+        if saved is not None:
+            saved.append((zr, c))
+    return h
+
+
+def gru_steps(x: np.ndarray, W: Weight, U: Weight, b: Weight, h: np.ndarray | None,
+              hs: list[np.ndarray], stop: int) -> np.ndarray:
+    """Untaped GRU layer steps len(hs) .. stop - 1 over the whole input x,
+    from state h (None: the zero state). Appends each step's state to hs
+    and returns the last one."""
+    Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
+    B, _, u = _check_recurrent("gru_steps", x, Wd, Ud, bd, 3)
+    return _gru_steps(_project(x, Wd, bd), Ud, np.zeros((B, u)) if h is None else h,
+                      hs, stop)
 
 
 def gru_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> Tensor:
@@ -349,32 +407,15 @@ def gru_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> 
     """
     Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
     B, T, u = _check_recurrent("gru_layer", x.data, Wd, Ud, bd, 3)
-    gx = np.matmul(x.data, Wd)
-    gx += bd
-    U_zr, U_h = Ud[:, : 2 * u], Ud[:, 2 * u :]
+    gx = _project(x.data, Wd, bd)
     h0 = np.zeros((B, u))
     hs: list[np.ndarray] = []
-    zrs: list[np.ndarray] = []
-    cs: list[np.ndarray] = []
-    h = h0
-    for t in range(T):
-        a = gx[:, t]
-        zr = h @ U_zr
-        zr += a[:, : 2 * u]
-        _sigmoid(zr)
-        c = (zr[:, u:] * h) @ U_h
-        c += a[:, 2 * u :]
-        np.tanh(c, out=c)
-        hn = c - h
-        hn *= zr[:, :u]
-        hn += h
-        h = hn
-        hs.append(h)
-        if tape is not None:
-            zrs.append(zr)
-            cs.append(c)
-    out = Tensor(np.stack(hs, axis=1))
+    saved: list | None = [] if tape is not None else None
+    _gru_steps(gx, Ud, h0, hs, T, saved)
+    out = Tensor(stack_states(hs))
     if tape is not None:
+        U_zr, U_h = Ud[:, : 2 * u], Ud[:, 2 * u :]
+
         def _back():
             dhs = out.grad
             dgx = np.empty_like(gx)
@@ -383,7 +424,7 @@ def gru_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> 
             dh = np.zeros((B, u))  # owned: h0 is the first step's h_prev
             for t in range(T - 1, -1, -1):
                 h_prev = hs[t - 1] if t else h0
-                zr, c = zrs[t], cs[t]
+                zr, c = saved[t]
                 z, r = zr[:, :u], zr[:, u:]
                 dh += dhs[:, t]
                 g = dgx[:, t]
@@ -415,6 +456,50 @@ def gru_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> 
     return out
 
 
+def _lstm_scales(u: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(v) = tanh(v / 2) / 2 + 1/2, so one tanh covers all four gates:
+    act = tanh(pre * s) * s + shift, with s = 1/2 on i|f|o and 1 on g."""
+    s = np.full(4 * u, 0.5)
+    s[2 * u : 3 * u] = 1.0
+    shift = np.full(4 * u, 0.5)
+    shift[2 * u : 3 * u] = 0.0
+    return s, shift
+
+
+def _lstm_steps(gx: np.ndarray, U: np.ndarray, h: np.ndarray, c: np.ndarray,
+                hs: list[np.ndarray], stop: int,
+                saved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """LSTM steps len(hs) .. stop - 1 over the projections gx, from the
+    state (h, c) before the first of them. Appends each step's h to hs and,
+    when saved is a list, its (tanh, activations, c, tanh(c)) for
+    backpropagation; returns the last (h, c)."""
+    u = U.shape[0]
+    s, shift = _lstm_scales(u)
+    for t in range(len(hs), stop):
+        th = np.tanh((gx[:, t] + h @ U) * s)
+        act = th * s + shift
+        c = act[:, u : 2 * u] * c + act[:, :u] * act[:, 2 * u : 3 * u]
+        tc = np.tanh(c)
+        h = act[:, 3 * u :] * tc
+        hs.append(h)
+        if saved is not None:
+            saved.append((th, act, c, tc))
+    return h, c
+
+
+def lstm_steps(x: np.ndarray, W: Weight, U: Weight, b: Weight,
+               state: tuple[np.ndarray, np.ndarray] | None, hs: list[np.ndarray],
+               stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Untaped LSTM layer steps len(hs) .. stop - 1 over the whole input x,
+    from state (h, c) (None: the zero state). Appends each step's h to hs
+    and returns the last (h, c)."""
+    Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
+    B, _, u = _check_recurrent("lstm_steps", x, Wd, Ud, bd, 4)
+    if state is None:
+        state = (np.zeros((B, u)),) * 2
+    return _lstm_steps(_project(x, Wd, bd), Ud, *state, hs, stop)
+
+
 def lstm_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> Tensor:
     """LSTM layer, gate layout i|f|g|o: W (d, 4u), U (u, 4u), b (4u,).
 
@@ -425,45 +510,25 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) ->
     """
     Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
     B, T, u = _check_recurrent("lstm_layer", x.data, Wd, Ud, bd, 4)
-    gx = np.matmul(x.data, Wd) + bd
-    # sigmoid(v) = tanh(v / 2) / 2 + 1/2, so one tanh covers all four gates:
-    # act = tanh(pre * s) * s + shift, with s = 1/2 on i|f|o and 1 on g
-    s = np.full(4 * u, 0.5)
-    s[2 * u : 3 * u] = 1.0
-    shift = np.full(4 * u, 0.5)
-    shift[2 * u : 3 * u] = 0.0
+    gx = _project(x.data, Wd, bd)
     h0 = np.zeros((B, u))
     hs: list[np.ndarray] = []
-    ths: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
-    cs: list[np.ndarray] = []
-    tcs: list[np.ndarray] = []
-    h = c = h0
-    for t in range(T):
-        th = np.tanh((gx[:, t] + h @ Ud) * s)
-        act = th * s + shift
-        c = act[:, u : 2 * u] * c + act[:, :u] * act[:, 2 * u : 3 * u]
-        tc = np.tanh(c)
-        h = act[:, 3 * u :] * tc
-        hs.append(h)
-        if tape is not None:
-            ths.append(th)
-            acts.append(act)
-            cs.append(c)
-            tcs.append(tc)
-    out = Tensor(np.stack(hs, axis=1))
+    saved: list | None = [] if tape is not None else None
+    _lstm_steps(gx, Ud, h0, h0, hs, T, saved)
+    out = Tensor(stack_states(hs))
     if tape is not None:
         def _back():
             dhs = out.grad
             dgx = np.empty_like(gx)
             learn_U = isinstance(U, Tensor)
             dU = np.zeros_like(Ud) if learn_U else None
+            s, _ = _lstm_scales(u)
             slope = s * s  # d act / d pre = (1 - th^2) * s^2
             dh = dc = h0
             for t in range(T - 1, -1, -1):
                 h_prev = hs[t - 1] if t else h0
-                c_prev = cs[t - 1] if t else h0
-                act, tc = acts[t], tcs[t]
+                c_prev = saved[t - 1][2] if t else h0
+                th, act, _, tc = saved[t]
                 dh = dh + dhs[:, t]
                 dc = dc + dh * act[:, 3 * u :] * (1.0 - tc * tc)
                 g = dgx[:, t]
@@ -471,7 +536,7 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) ->
                 g[:, u : 2 * u] = dc * c_prev
                 g[:, 2 * u : 3 * u] = dc * act[:, :u]
                 g[:, 3 * u :] = dh * tc
-                g *= (1.0 - ths[t] * ths[t]) * slope
+                g *= (1.0 - th * th) * slope
                 if learn_U:
                     dU += h_prev.T @ g
                 if t:  # the first step's h_prev and c_prev are the constant h0

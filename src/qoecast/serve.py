@@ -13,13 +13,21 @@ stream carries them, else from the previous forecast, else from the QoE
 oracle over the window's means (synthgen.window_qoe). Dropped windows
 (under 80% tick coverage or a non-finite mean) and empty window slots break
 context continuity and clear the ring, as gaps break offline sequences.
+
+A recurrent bundle runs its first four context windows before the window
+that completes the context arrives: once four windows are in the ring, the
+next tick runs every layer's first four steps (BundleRunner.begin), so the
+completing tick runs only one step per layer, attention and the head
+(BundleRunner.finish). The decision has the bits of a batch-1 predict of
+its context. A decision's latency_ms covers the completing tick alone,
+from reading its line to the decision record being ready (explanation
+included), so the steps run ahead on earlier ticks are not in it.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable
 
@@ -27,7 +35,7 @@ import numpy as np
 
 from .errors import OutOfOrderSample, QoecastError, ScalerMissing
 from .explain import integrated_gradients
-from .pipeline import CONTEXT_LEN, HORIZON, inverse_target, scale_features
+from .pipeline import CONTEXT_LEN, HORIZON, N_FEATURES, inverse_target, scale_features
 from .synthgen import window_qoe
 from .telemetry import (WINDOW_MS, WINDOW_S, TelemetrySample, Window, WindowAggregator,
                         _parse_record, decode_json_line)
@@ -119,7 +127,15 @@ class StreamStats:
 
 
 class StreamState:
-    """Incremental forecasting state over one telemetry stream."""
+    """Incremental forecasting state over one telemetry stream.
+
+    The ring of the last CONTEXT_LEN kept windows is one scaled
+    (1, CONTEXT_LEN, N_FEATURES) buffer: each kept window scales its own
+    row once. When the ring holds CONTEXT_LEN - 1 windows the next window
+    completes a context, so the first ingest after that runs
+    BundleRunner.begin on the ring, and the completing tick runs only
+    BundleRunner.finish. Clearing the ring discards a begun run.
+    """
 
     def __init__(self, bundle: ModelBundle, policy: FeedbackPolicy):
         if bundle.scaler is None:
@@ -128,7 +144,10 @@ class StreamState:
         self.policy = policy
         self.runner = BundleRunner(bundle)
         self._windows = WindowAggregator()
-        self._ring: deque[np.ndarray] = deque(maxlen=CONTEXT_LEN)
+        self._context = np.zeros((1, CONTEXT_LEN, N_FEATURES))  # scaled ring rows
+        self._filled = 0  # kept windows in the ring: rows 0 .. _filled - 1
+        self._begun = None  # runner.begin of the ring's first CONTEXT_LEN - 1 rows
+        self._begin_due = False
         self._last_ts: int | None = None
         self._prev_window_qoe: float | None = None
         self.last_prediction: float | None = None
@@ -145,6 +164,8 @@ class StreamState:
                 f"ts_ms {sample.ts_ms} not after {self._last_ts}")
         self._last_ts = sample.ts_ms
         self.stats.ticks += 1
+        if self._begin_due:
+            self._begin()
         decision = None
         for win in self._windows.add(sample):
             decision = self._finalize(win) or decision
@@ -157,27 +178,44 @@ class StreamState:
             decision = self._finalize(win)
         return decision
 
+    def _clear(self) -> None:
+        self._filled = 0
+        self._begun = None
+        self._begin_due = False
+
+    def _begin(self) -> None:
+        """Drop the oldest row of a full ring and begin the next context on
+        the remaining CONTEXT_LEN - 1; the last row, not yet a window, is a
+        finite placeholder that begin does not count."""
+        if self._filled == CONTEXT_LEN:
+            self._context[0, :-1] = self._context[0, 1:]
+            self._filled -= 1
+        self._begun = self.runner.begin(self._context)
+        self._begin_due = False
+
     def _finalize(self, win: Window) -> ForecastDecision | None:
         if win.skipped:
             # empty window slots in between: context continuity is gone
             self.stats.dropped_windows += win.skipped
-            self._ring.clear()
+            self._clear()
         if win.dropped is not None:
             self.stats.dropped_windows += 1
-            self._ring.clear()
+            self._clear()
             return None
         qoe = window_qoe(win, self._prev_window_qoe, win.qoe, self.last_prediction)
         self._prev_window_qoe = qoe
-        self._ring.append(np.array((*win.link, qoe), dtype=np.float64))
+        if self._begin_due:  # windows joined with no tick in between
+            self._begin()
+        self._context[0, self._filled] = scale_features(self.bundle.scaler, (*win.link, qoe))
+        self._filled += 1
         self.stats.windows += 1
-        if len(self._ring) < CONTEXT_LEN:
+        self._begin_due = self._filled >= CONTEXT_LEN - 1
+        if self._filled < CONTEXT_LEN:
             return None
         return self._forecast(win.index)
 
     def _forecast(self, window_index: int) -> ForecastDecision:
-        raw = np.stack(self._ring)
-        scaled = scale_features(self.bundle.scaler, raw)
-        pred_scaled, _ = self.runner.predict(scaled[None])
+        pred_scaled, _ = self.runner.finish(self._begun, self._context)
         pred = float(inverse_target(self.bundle.scaler, pred_scaled[0]))
         action = decide(self.policy, pred, self.prev_action)
         self.prev_action = action
@@ -189,7 +227,7 @@ class StreamState:
             horizon_s=HORIZON * WINDOW_S,
             qoe_pred=pred,
             action=action,
-            inputs_scaled=scaled,
+            inputs_scaled=self._context[0].copy(),
         )
 
 
@@ -208,11 +246,12 @@ def run_stream(
     Input lines are text or UTF-8 bytes, each decoded on its own. Bad input
     lines, invalid UTF-8 included, become error records on the output
     stream instead of terminating the run. Each decision carries the
-    ingest-to-emit latency as measured by `clock`. When explain_on_alert is
-    set, alert decisions are annotated with the top EXPLAIN_TOP_K
-    attribution cells; cheaper decisions never wait on explanation work. Floats are rendered with
-    shortest round-trip formatting, so equal predictions give byte-equal
-    output.
+    latency, as measured by `clock`, from reading the line that completed
+    its window to emitting it; work run ahead on earlier lines is not in
+    it. When explain_on_alert is set, alert decisions are annotated with
+    the top EXPLAIN_TOP_K attribution cells; cheaper decisions never wait
+    on explanation work. Floats are rendered with shortest round-trip
+    formatting, so equal predictions give byte-equal output.
     """
     state = StreamState(bundle, policy)
     record_no = 0

@@ -74,6 +74,18 @@ class ForecastModel:
                 train: bool = False, rng: np.random.Generator | None = None):
         raise NotImplementedError
 
+    def begin(self, params: Mapping[str, nc.Weight], x: Tensor):
+        """The part of an untaped forward pass that reads only the first
+        CONTEXT_LEN - 1 windows of x, for finish; None where the model has
+        no such part."""
+        return None
+
+    def finish(self, params: Mapping[str, nc.Weight], begun, x: Tensor):
+        """forward(params, x) without a tape, given begun = begin(params, x')
+        for an x' that equals x except in its last window: the same bits as
+        the forward pass."""
+        return self.forward(params, x)
+
 
 # ----------------------------------------------------------- recurrent nets
 
@@ -97,6 +109,8 @@ class RecurrentModel(ForecastModel):
         self.dropout_rate = dropout_rate
         self.model_class = cell
         self._gates = 3 if cell == "gru" else 4
+        self._layer, self._steps = ((nc.gru_layer, nc.gru_steps) if cell == "gru"
+                                    else (nc.lstm_layer, nc.lstm_steps))
         super().__init__(variant_id)
 
     def _build_specs(self) -> list[ParamSpec]:
@@ -117,20 +131,48 @@ class RecurrentModel(ForecastModel):
         specs.extend(_dense_specs("out", top, 1))
         return specs
 
+    def _cell(self, params, li: int):
+        name = f"{self.cell}{li}"
+        return params[f"{name}_kernel"], params[f"{name}_recurrent"], params[f"{name}_bias"]
+
     def forward(self, params, x, tape=None, train=False, rng=None):
         self._check_input(x)
         seq = x
-        layer = nc.gru_layer if self.cell == "gru" else nc.lstm_layer
         for li in range(len(self.layer_units)):
-            name = f"{self.cell}{li}"
-            seq = layer(tape, seq, params[f"{name}_kernel"], params[f"{name}_recurrent"],
-                        params[f"{name}_bias"])
+            seq = self._layer(tape, seq, *self._cell(params, li))
             if li < len(self.layer_units) - 1 and self.dropout_rate > 0.0:
                 seq = nc.dropout(tape, seq, self.dropout_rate, train, rng)
+        return self._head(tape, params, seq)
 
+    def begin(self, params, x):
+        """Every layer's first CONTEXT_LEN - 1 steps, as (states, carry) per
+        layer. Each layer after the first projects a whole context whose
+        last row, a repeat of the state before it, stands in for the state
+        that finish computes."""
+        self._check_input(x)
+        seq, begun = x.data, []
+        for li in range(len(self.layer_units)):
+            if li:
+                seq = nc.stack_states([*hs, hs[-1]])
+            hs: list[np.ndarray] = []
+            carry = self._steps(seq, *self._cell(params, li), None, hs, CONTEXT_LEN - 1)
+            begun.append((tuple(hs), carry))
+        return tuple(begun)
+
+    def finish(self, params, begun, x):
+        """Every layer's last step, then attention and the head."""
+        self._check_input(x)
+        seq = x.data
+        for li, (states, carry) in enumerate(begun):
+            hs = list(states)
+            self._steps(seq, *self._cell(params, li), carry, hs, CONTEXT_LEN)
+            seq = nc.stack_states(hs)
+        return self._head(None, params, Tensor(seq))
+
+    def _head(self, tape, params, seq: Tensor):
         ctx, alpha = nc.additive_attention(tape, seq, params["att_kernel"],
                                            params["att_bias"], params["att_score"])
-        pred = nc.reshape(tape, _dense(tape, params, "out", ctx), (x.data.shape[0],))
+        pred = nc.reshape(tape, _dense(tape, params, "out", ctx), (seq.data.shape[0],))
         return pred, {"attention": alpha.copy()}
 
 
@@ -431,6 +473,17 @@ class BundleRunner:
 
     def predict(self, batch: np.ndarray) -> tuple[np.ndarray, dict]:
         pred, aux = self.model.forward(self.params, Tensor(batch), tape=None, train=False)
+        return pred.data.copy(), aux
+
+    def begin(self, batch: np.ndarray):
+        """The model's work on all but the last window of each row (see
+        ForecastModel.begin); the last window is read but does not count."""
+        return self.model.begin(self.params, Tensor(batch))
+
+    def finish(self, begun, batch: np.ndarray) -> tuple[np.ndarray, dict]:
+        """predict(batch), bit for bit, given begun = begin(batch') for a
+        batch' that equals batch except in each row's last window."""
+        pred, aux = self.model.finish(self.params, begun, Tensor(batch))
         return pred.data.copy(), aux
 
     def input_gradients(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ from qoecast.serve import (
     decide,
     run_stream,
 )
-from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle
-from qoecast.telemetry import TelemetrySample, Trace, load_trace, write_trace
-from qoecast.zoo import BundleRunner, ModelBundle, load_bundle
+from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle, window_qoe
+from qoecast.telemetry import (WINDOW_MS, TelemetrySample, Trace, WindowAggregator, load_trace,
+                               write_trace)
+from qoecast.zoo import BundleRunner, ModelBundle, build_variant, load_bundle
 from qoecast.pipeline import inverse_target, window_trace
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -355,6 +357,132 @@ class TestOfflineEquivalence:
             assert rec["ts_ms"] == (i + 1) * 10000
 
 
+def _reference_decisions(bundle, samples):
+    """(ts_ms, qoe_pred, action, inputs_scaled) of every decision under the
+    plain rule: a ring of raw window rows, and at each window that fills
+    it the whole context scaled and run through a batch-1 predict."""
+    runner = BundleRunner(bundle)
+    ring = deque(maxlen=5)
+    out = []
+    prev_qoe = last = None
+    action = "none"
+    agg = WindowAggregator()
+    for win in agg.windows(samples):
+        if win.skipped or win.dropped is not None:
+            ring.clear()
+        if win.dropped is not None:
+            continue
+        prev_qoe = window_qoe(win, prev_qoe, win.qoe, last)
+        ring.append(np.array((*win.link, prev_qoe)))
+        if len(ring) == 5:
+            scaled = scale_features(bundle.scaler, np.stack(ring))
+            last = float(inverse_target(bundle.scaler, runner.predict(scaled[None])[0][0]))
+            action = decide(POLICY, last, action)
+            out.append(((win.index + 1) * WINDOW_MS, last, action, scaled))
+    return out
+
+
+def _inband_samples(seed, duration_s):
+    trace = generate_trace(GeneratorConfig(seed=seed, duration_s=duration_s, trace_id="sched"))
+    label_of = trace.label_map()
+    return [s._replace(qoe=label_of.get(s.ts_ms // WINDOW_MS)) for s in trace.samples]
+
+
+def _spy_runner(state):
+    """Record each call of the runner's begin, finish and predict."""
+    calls = []
+    for name in ("begin", "finish", "predict"):
+        def spy(*args, _name=name, _method=getattr(state.runner, name)):
+            calls.append(_name)
+            return _method(*args)
+        setattr(state.runner, name, spy)
+    return calls
+
+
+def _lstm_deep_bundle(scaler):
+    params = {k: v.astype(np.float32) for k, v in build_variant("lstm_deep").init_params(3).items()}
+    return ModelBundle(variant_id="lstm_deep", scaler=scaler, params=params, meta={})
+
+
+@pytest.fixture(params=["gru_basic", "lstm_deep"])
+def recurrent_bundle(request, gru_bundle):
+    return gru_bundle if request.param == "gru_basic" else _lstm_deep_bundle(gru_bundle.scaler)
+
+
+class TestBeginAhead:
+    """A recurrent bundle begins each context on the tick after its fourth
+    window joins the ring; the completing tick only finishes it."""
+
+    def _serve(self, bundle, samples):
+        state = StreamState(bundle, POLICY)
+        calls = _spy_runner(state)
+        ticks, decisions = [], []
+        for s in samples:
+            before = len(calls)
+            d = state.ingest(s)
+            ticks.append((calls[before:], d))
+            if d is not None:
+                decisions.append(d)
+        tail = state.flush()
+        if tail is not None:
+            decisions.append(tail)
+        return state, ticks, decisions
+
+    def _check_against_reference(self, bundle, samples, decisions):
+        runner = BundleRunner(bundle)
+        ref = _reference_decisions(bundle, samples)
+        assert len(decisions) == len(ref)
+        for d, (ts, pred, action, scaled) in zip(decisions, ref):
+            assert (d.ts_ms, d.qoe_pred, d.action) == (ts, pred, action)
+            assert np.array_equal(d.inputs_scaled, scaled)
+            alone = runner.predict(d.inputs_scaled[None])[0][0]
+            assert d.qoe_pred == float(inverse_target(bundle.scaler, alone))
+
+    def test_gap_free_stream_only_finishes_on_decision_ticks(self, recurrent_bundle):
+        samples = _inband_samples(derive_seed(11, "trace:0"), 300)
+        state, ticks, decisions = self._serve(recurrent_bundle, samples)
+        assert len(decisions) == 26
+        for calls, d in ticks:
+            assert calls == ["finish"] if d is not None else calls in ([], ["begin"])
+        assert sum(calls == ["begin"] for calls, _ in ticks) == 26
+        self._check_against_reference(recurrent_bundle, samples, decisions)
+        # every decision hands out a fresh array, not the ring itself
+        for d in decisions:
+            assert not np.shares_memory(d.inputs_scaled, state._context)
+        decisions[-1].inputs_scaled[:] = np.nan
+        assert np.all(np.isfinite(state._context))
+
+    def test_first_decision_after_a_gap_and_a_thin_window(self, recurrent_bundle):
+        samples = _inband_samples(derive_seed(12, "trace:0"), 400)
+        # a 25-tick gap in window 9 and on, a window 20 of 7 ticks
+        samples = [s for s in samples
+                   if not (95000 <= s.ts_ms < 120000 or 203000 <= s.ts_ms < 206000)]
+        state, _, decisions = self._serve(recurrent_bundle, samples)
+        assert state.stats.dropped_windows == 4
+        restarts = {d.ts_ms for d in decisions} & {170000, 260000}
+        assert restarts == {170000, 260000}  # five windows after each restart
+        self._check_against_reference(recurrent_bundle, samples, decisions)
+
+    def test_forecasts_fed_back_when_inband_qoe_stops(self, recurrent_bundle):
+        samples = _inband_samples(derive_seed(13, "trace:0"), 300)
+        samples = samples[:150] + [s._replace(qoe=None) for s in samples[150:]]
+        _, _, decisions = self._serve(recurrent_bundle, samples)
+        assert len(decisions) == 26
+        self._check_against_reference(recurrent_bundle, samples, decisions)
+
+    def test_windows_that_join_with_no_tick_between(self, recurrent_bundle):
+        # the window aggregator closes at most one window per tick; should
+        # windows ever join back to back, the context begins when it is due
+        samples = _inband_samples(derive_seed(14, "trace:0"), 80)
+        windows = list(WindowAggregator().windows(samples))
+        state = StreamState(recurrent_bundle, POLICY)
+        calls = _spy_runner(state)
+        decisions = [state._finalize(w) for w in windows]
+        assert calls == ["begin", "finish"] * 4
+        self._check_against_reference(recurrent_bundle, samples,
+                                      [d for d in decisions if d is not None])
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
@@ -362,15 +490,19 @@ def _reject_constant(name):
 def _served_link_rows(state, samples):
     """Link columns of every window the stream keeps, in order."""
     rows = []
-    for s in samples:
+    finalize = state._finalize
+
+    def keep(win):
         before = state.stats.windows
-        state.ingest(s)
+        decision = finalize(win)
         if state.stats.windows > before:
-            rows.append(state._ring[-1][:5].copy())
-    before = state.stats.windows
+            rows.append(np.array(win.link))
+        return decision
+
+    state._finalize = keep
+    for s in samples:
+        state.ingest(s)
     state.flush()
-    if state.stats.windows > before:
-        rows.append(state._ring[-1][:5].copy())
     return rows
 
 

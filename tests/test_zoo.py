@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qoecast.errors import (
     ChecksumMismatch,
@@ -83,8 +86,15 @@ class TestParamCounts:
         assert n_cell == 4992  # 6*128 + 32*128 + 128
 
     def test_totals_with_attention_and_head(self):
-        assert param_count(build_variant("gru_basic")) == 8129
-        assert param_count(build_variant("lstm_basic")) == 9377
+        # the parameter counts of the seed-1 desk bundles
+        counts = {vid: param_count(build_variant(vid)) for vid in ALL_VARIANTS}
+        assert counts == {
+            "lstm_basic": 9377, "lstm_wide": 55957, "lstm_deep": 26017,
+            "gru_basic": 8129, "gru_wide": 22145, "gru_deep": 20609,
+            "tr_basic": 8801, "tr_4heads": 8801, "tr_largeff": 12961, "tr_lowdrop": 8801,
+            "dnn_basic": 4097, "dnn_deep": 14337, "dnn_elu": 4097, "dnn_highdrop": 4097,
+            "lin_basic": 31, "lin_l1": 31, "lin_l2": 31, "lin_elasticnet": 31,
+        }
 
 
 def _sig(x):
@@ -346,6 +356,13 @@ class TestBundleRunner:
         assert np.array_equal(pred, direct.data)
         assert aux["attention"].shape == (4, 5)
 
+    def test_begin_returns_none_without_recurrent_layers(self, rng):
+        x = _batch(rng, 2)
+        for vid in ("tr_basic", "dnn_basic", "lin_basic"):
+            runner = BundleRunner(_make_bundle(vid))
+            assert runner.begin(x) is None
+            assert np.array_equal(runner.finish(None, x)[0], runner.predict(x)[0])
+
     def test_runner_widens_once(self, rng):
         b = _make_bundle("lin_basic")
         runner = BundleRunner(b)
@@ -354,3 +371,48 @@ class TestBundleRunner:
         p2, _ = runner.predict(x)
         assert np.array_equal(p1, p2)
         assert p1.dtype == np.float64
+
+
+RECURRENT_VARIANTS = ("gru_basic", "gru_wide", "gru_deep",
+                      "lstm_basic", "lstm_wide", "lstm_deep")
+_RUNNERS = {vid: BundleRunner(_make_bundle(vid, seed=k))
+            for k, vid in enumerate(RECURRENT_VARIANTS)}
+_CONTEXTS = st.integers(1, 3).flatmap(lambda rows: hnp.arrays(
+    np.float64, (rows, 5, 6), elements=st.floats(-2.0, 3.0, width=32)))
+# what stands in for the last window before it arrives
+_PLACEHOLDERS = st.sampled_from(["zeros", "real", "+1e6", "-1e6"]) | hnp.arrays(
+    np.float64, 6, elements=st.floats(-1e6, 1e6))
+
+
+class TestBeginFinish:
+    """finish(begin(x'), x) is predict(x) bit for bit, whatever x' holds in
+    its last window: begin reads only the first four windows."""
+
+    # 250 batches of 1-3 contexts: 505 contexts per variant
+    @pytest.mark.parametrize("vid", RECURRENT_VARIANTS)
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(x=_CONTEXTS, placeholder=_PLACEHOLDERS)
+    def test_finish_of_begin_equals_predict(self, vid, x, placeholder):
+        runner = _RUNNERS[vid]
+        early = x.copy()
+        if isinstance(placeholder, str):
+            early[:, -1] = {"zeros": 0.0, "real": x[:, -1], "+1e6": 1e6,
+                            "-1e6": -1e6}[placeholder]
+        else:
+            early[:, -1] = placeholder
+        begun = runner.begin(early)
+        early[:] = np.nan  # begin keeps nothing of its input
+        pred, aux = runner.finish(begun, x)
+        want, want_aux = runner.predict(x)
+        assert np.array_equal(pred, want)
+        assert np.array_equal(aux["attention"], want_aux["attention"])
+        # the begun run is not used up
+        assert np.array_equal(runner.finish(begun, x)[0], want)
+
+    def test_begin_is_four_steps_per_layer(self, rng):
+        runner = _RUNNERS["lstm_deep"]
+        begun = runner.begin(_batch(rng, 2))
+        assert len(begun) == 3
+        for states, (h, c) in begun:
+            assert len(states) == 4
+            assert h is states[-1] and c.shape == h.shape == (2, 32)
