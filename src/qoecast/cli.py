@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import QoecastError
+from .errors import MalformedRow, QoecastError
 from .evaluation import (
     LatencyBudget,
     benchmark_latency,
@@ -125,7 +125,11 @@ def _load_traces(data_dir: Path):
         raise QoecastError(f"no trace_*.csv / trace_*.ndjson files in {data_dir}")
     for p in paths:
         labels = data_dir / p.name.replace("trace_", "labels_").replace(p.suffix, ".csv")
-        traces.append(load_trace(p, labels_path=labels if labels.exists() else None))
+        try:
+            traces.append(load_trace(p, labels_path=labels if labels.exists() else None))
+        except MalformedRow as exc:  # a labels row already names its file
+            exc.source = exc.source or p
+            raise
     return traces
 
 
@@ -372,7 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except QoecastError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = f" in {exc.source}" if isinstance(exc, MalformedRow) and exc.source else ""
+        print(f"error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,11 +14,13 @@ class QoecastError(Exception):
 # ---------------------------------------------------------------- telemetry
 
 class MalformedRow(QoecastError):
-    """A trace row failed validation. Carries the 1-based record number."""
+    """A trace or labels row failed validation. Carries the 1-based record
+    number and, once known, the file as `source`, which the message omits."""
 
-    def __init__(self, record_no: int, field: str, detail: str = ""):
+    def __init__(self, record_no: int, field: str, detail: str = "", source=None):
         self.record_no = record_no
         self.field = field
+        self.source = source
         msg = f"record {record_no}: bad value for {field!r}"
         if detail:
             msg += f" ({detail})"

@@ -313,13 +313,13 @@ def dropout(tape: Tape | None, x: Tensor, rate: float, train: bool,
 # every step into one array, then forms the input-side gradients with one
 # product each (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
 #
-# gru_steps and lstm_steps run a stretch of a layer's steps without a tape,
-# so that inference can run the steps that read only earlier inputs ahead
-# of the last one. Each cell has one step loop, which the layer and both
-# stretches share. Each stretch projects the whole input: for a fixed
-# operand shape a row of a product depends only on its own input row, so
-# a stretch's states do not depend on the input rows after its last step,
-# and the two stretches give the bits of one run.
+# _gru_steps and _lstm_steps, each cell's one step loop, also run a stretch
+# of a layer's steps without a tape, from _project's output on weights the
+# caller has checked: zoo's recurrent models run the steps that read only
+# earlier inputs ahead of the last one. Each stretch projects the whole
+# input: for a fixed operand shape a row of a product depends only on its
+# own input row, so a stretch's states do not depend on the input rows
+# after its last step, and the two stretches give the bits of one run.
 
 def _check_recurrent(name: str, x: np.ndarray, W: np.ndarray, U: np.ndarray,
                      b: np.ndarray, gates: int) -> tuple[int, int, int]:
@@ -362,7 +362,7 @@ def _gru_steps(gx: np.ndarray, U: np.ndarray, h: np.ndarray, hs: list[np.ndarray
     """GRU steps len(hs) .. stop - 1 over the projections gx, from the state
     h before the first of them. Appends each step's state to hs and, when
     saved is a list, its (z|r, candidate) for backpropagation; returns the
-    last state."""
+    last state as a 1-tuple, the form of _lstm_steps's (h, c)."""
     u = U.shape[0]
     U_zr, U_h = U[:, : 2 * u], U[:, 2 * u :]
     for t in range(len(hs), stop):
@@ -380,18 +380,7 @@ def _gru_steps(gx: np.ndarray, U: np.ndarray, h: np.ndarray, hs: list[np.ndarray
         hs.append(h)
         if saved is not None:
             saved.append((zr, c))
-    return h
-
-
-def gru_steps(x: np.ndarray, W: Weight, U: Weight, b: Weight, h: np.ndarray | None,
-              hs: list[np.ndarray], stop: int) -> np.ndarray:
-    """Untaped GRU layer steps len(hs) .. stop - 1 over the whole input x,
-    from state h (None: the zero state). Appends each step's state to hs
-    and returns the last one."""
-    Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
-    B, _, u = _check_recurrent("gru_steps", x, Wd, Ud, bd, 3)
-    return _gru_steps(_project(x, Wd, bd), Ud, np.zeros((B, u)) if h is None else h,
-                      hs, stop)
+    return (h,)
 
 
 def gru_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> Tensor:
@@ -487,19 +476,6 @@ def _lstm_steps(gx: np.ndarray, U: np.ndarray, h: np.ndarray, c: np.ndarray,
     return h, c
 
 
-def lstm_steps(x: np.ndarray, W: Weight, U: Weight, b: Weight,
-               state: tuple[np.ndarray, np.ndarray] | None, hs: list[np.ndarray],
-               stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Untaped LSTM layer steps len(hs) .. stop - 1 over the whole input x,
-    from state (h, c) (None: the zero state). Appends each step's h to hs
-    and returns the last (h, c)."""
-    Wd, Ud, bd = _as_array(W), _as_array(U), _as_array(b)
-    B, _, u = _check_recurrent("lstm_steps", x, Wd, Ud, bd, 4)
-    if state is None:
-        state = (np.zeros((B, u)),) * 2
-    return _lstm_steps(_project(x, Wd, bd), Ud, *state, hs, stop)
-
-
 def lstm_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) -> Tensor:
     """LSTM layer, gate layout i|f|g|o: W (d, 4u), U (u, 4u), b (4u,).
 
@@ -557,6 +533,20 @@ def lstm_layer(tape: Tape | None, x: Tensor, W: Weight, U: Weight, b: Weight) ->
 # matmul, reshape) with their IEEE operation order, written into fresh
 # buffers in place, and with a tape it records one closure.
 
+def _attention(seq: np.ndarray, W: np.ndarray, b: np.ndarray, v: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """additive_attention's unchecked forward pass on arrays: (ctx, alpha, e)."""
+    B, T, u = seq.shape
+    e = seq.reshape(-1, u) @ W
+    e += b
+    np.tanh(e, out=e)
+    alpha = (e @ v).reshape(B, T)
+    alpha -= np.maximum.reduce(alpha, axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= np.add.reduce(alpha, axis=1, keepdims=True)
+    return np.matmul(alpha.reshape(B, 1, T), seq).reshape(B, u), alpha, e
+
+
 def additive_attention(tape: Tape | None, seq: Tensor, W: Weight, b: Weight,
                        v: Weight) -> tuple[Tensor, np.ndarray]:
     """Attention-pooled context of a (B, T, u) sequence; returns (ctx, alpha).
@@ -574,17 +564,11 @@ def additive_attention(tape: Tape | None, seq: Tensor, W: Weight, b: Weight,
             f"{bd.shape} and score {vd.shape} do not fit (batch, time, units) @ "
             f"(units, A), (A,), (A, 1)")
     B, T, u = seq.data.shape
-    s2 = seq.data.reshape(-1, u)
-    e = s2 @ Wd
-    e += bd
-    np.tanh(e, out=e)
-    alpha = (e @ vd).reshape(B, T)
-    alpha -= np.max(alpha, axis=1, keepdims=True)
-    np.exp(alpha, out=alpha)
-    alpha /= np.sum(alpha, axis=1, keepdims=True)
-    alpha3 = alpha.reshape(B, 1, T)
-    ctx = Tensor(np.matmul(alpha3, seq.data).reshape(B, u))
+    ctx_data, alpha, e = _attention(seq.data, Wd, bd, vd)
+    ctx = Tensor(ctx_data)
     if tape is not None:
+        s2 = seq.data.reshape(-1, u)
+        alpha3 = alpha.reshape(B, 1, T)
         def _back():
             g3 = ctx.grad.reshape(B, 1, u)
             dalpha = np.matmul(g3, np.swapaxes(seq.data, -1, -2)).reshape(B, T)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +125,17 @@ class ScalerStats:
     mins: np.ndarray  # (6,)
     maxs: np.ndarray  # (6,)
 
-    @property
+    @cached_property
     def degenerate(self) -> np.ndarray:
         return self.maxs == self.mins
+
+    @cached_property
+    def span(self) -> np.ndarray:  # 1.0 on degenerate features
+        return np.where(self.degenerate, 1.0, self.maxs - self.mins)
+
+    @cached_property
+    def target_bounds(self) -> tuple[float, float]:
+        return float(self.mins[QOE_FEATURE]), float(self.maxs[QOE_FEATURE])
 
     def to_dict(self) -> dict:
         return {
@@ -171,23 +180,26 @@ def fit_scaler(windows: list[WindowFeatures]) -> ScalerStats:
     return ScalerStats(mins=mat.min(axis=0), maxs=mat.max(axis=0))
 
 
-def scale_features(stats: ScalerStats, raw: np.ndarray) -> np.ndarray:
-    """Min-max scale raw feature rows (..., 6). Never clamped: values outside
-    the fitted range scale past [0, 1], which is intentional for test data."""
-    raw = np.asarray(raw, dtype=np.float64)
-    degenerate = stats.degenerate
-    span = np.where(degenerate, 1.0, stats.maxs - stats.mins)
-    scaled = (raw - stats.mins) / span
-    return np.where(degenerate, 0.0, scaled)
+def scale_features(stats: ScalerStats, raw, out: np.ndarray | None = None) -> np.ndarray:
+    """Min-max scale raw feature rows (..., 6), into `out` if given (serve's
+    ring row). Never clamped: values outside the fitted range scale past
+    [0, 1], which is intentional for test data."""
+    scaled = np.subtract(np.asarray(raw, dtype=np.float64), stats.mins, out=out)
+    scaled /= stats.span
+    np.copyto(scaled, 0.0, where=stats.degenerate)
+    return scaled
 
 
 def inverse_target(stats: ScalerStats, scaled: float | np.ndarray):
     """Map scaled predictions back to QoE units, the inverse of the qoe
-    column of scale_features on a non-degenerate target."""
-    lo, hi = stats.mins[QOE_FEATURE], stats.maxs[QOE_FEATURE]
+    column of scale_features on a non-degenerate target. A float is mapped
+    in floats, anything else as a float64 array; both give the same bits."""
+    lo, hi = stats.target_bounds
+    if not isinstance(scaled, float):
+        scaled = np.asarray(scaled, dtype=np.float64)
     if hi == lo:
-        return np.zeros_like(np.asarray(scaled, dtype=np.float64)) + lo
-    return lo + np.asarray(scaled, dtype=np.float64) * (hi - lo)
+        return np.zeros_like(scaled) + lo
+    return lo + scaled * (hi - lo)
 
 
 # ------------------------------------------------------------ the split
@@ -301,16 +313,21 @@ def build_dataset(traces: list[Trace]) -> PreparedDataset:
 # ----------------------------------------------------------------- dataset IO
 
 def save_dataset(ds: PreparedDataset, out_dir: str | Path) -> None:
-    """Write a prepared dataset as NDJSON splits + scaler + geometry."""
+    """Write a prepared dataset as NDJSON splits + scaler + geometry; a window
+    row that several contexts share is rendered to JSON once."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    text: dict[bytes, str] = {}  # a window row's JSON, by the row's bytes
     for name in PARTS:
         part = getattr(ds, name)
+        keys = np.ascontiguousarray(part.X, np.float64).view(f"V{8 * N_FEATURES}")[..., 0]
         with (out / f"{name}.ndjson").open("w", encoding="utf-8") as fh:
-            for origin, x, y, ts in zip(part.origin, part.X.tolist(), part.y.tolist(),
-                                        part.target_ts_ms.tolist()):
-                fh.write(json.dumps({"origin": list(origin), "inputs": x, "target": y,
-                                     "target_ts_ms": ts}) + "\n")
+            for origin, x, row_keys, y, ts in zip(part.origin, part.X, keys.tolist(),
+                                                  part.y.tolist(), part.target_ts_ms.tolist()):
+                inputs = ", ".join([text.get(k) or text.setdefault(k, json.dumps(w.tolist()))
+                                    for k, w in zip(row_keys, x)])
+                fh.write(f'{{"origin": {json.dumps(list(origin))}, "inputs": [{inputs}], '
+                         f'"target": {json.dumps(y)}, "target_ts_ms": {ts}}}\n')
     (out / "scaler.json").write_text(
         json.dumps(ds.scaler.to_dict(), indent=2) + "\n", encoding="utf-8")
     (out / "dataset.json").write_text(json.dumps({

@@ -18,15 +18,18 @@ A recurrent bundle runs its first four context windows before the window
 that completes the context arrives: once four windows are in the ring, the
 next tick runs every layer's first four steps (BundleRunner.begin), so the
 completing tick runs only one step per layer, attention and the head
-(BundleRunner.finish). The decision has the bits of a batch-1 predict of
-its context. A decision's latency_ms covers the completing tick alone,
-from reading its line to the decision record being ready (explanation
-included), so the steps run ahead on earlier ticks are not in it.
+(BundleRunner.finish), scales its window straight into the ring and maps
+the prediction back in floats. The decision has the bits of a batch-1
+predict of its context. A decision's latency_ms covers the completing
+tick alone, from reading its line to the decision record being ready
+(explanation included), so the steps run ahead on earlier ticks are not
+in it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable
@@ -65,8 +68,8 @@ class FeedbackPolicy:
             raise ValueError(
                 f"need 0 <= alert <= reduce_bitrate <= 100, got "
                 f"{self.alert_threshold}/{self.reduce_bitrate_threshold}")
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
+        if not 0 <= self.hysteresis < math.inf:  # NaN fails every comparison
+            raise ValueError(f"hysteresis must be non-negative and finite, got {self.hysteresis}")
 
 
 def _classify(pred: float, alert_t: float, reduce_t: float) -> str:
@@ -130,9 +133,9 @@ class StreamState:
     """Incremental forecasting state over one telemetry stream.
 
     The ring of the last CONTEXT_LEN kept windows is one scaled
-    (1, CONTEXT_LEN, N_FEATURES) buffer: each kept window scales its own
-    row once. When the ring holds CONTEXT_LEN - 1 windows the next window
-    completes a context, so the first ingest after that runs
+    (1, CONTEXT_LEN, N_FEATURES) buffer: each kept window is scaled
+    straight into its row. When the ring holds CONTEXT_LEN - 1 windows the
+    next window completes a context, so the first ingest after that runs
     BundleRunner.begin on the ring, and the completing tick runs only
     BundleRunner.finish. Clearing the ring discards a begun run.
     """
@@ -206,7 +209,7 @@ class StreamState:
         self._prev_window_qoe = qoe
         if self._begin_due:  # windows joined with no tick in between
             self._begin()
-        self._context[0, self._filled] = scale_features(self.bundle.scaler, (*win.link, qoe))
+        scale_features(self.bundle.scaler, (*win.link, qoe), out=self._context[0, self._filled])
         self._filled += 1
         self.stats.windows += 1
         self._begin_due = self._filled >= CONTEXT_LEN - 1
@@ -216,7 +219,7 @@ class StreamState:
 
     def _forecast(self, window_index: int) -> ForecastDecision:
         pred_scaled, _ = self.runner.finish(self._begun, self._context)
-        pred = float(inverse_target(self.bundle.scaler, pred_scaled[0]))
+        pred = inverse_target(self.bundle.scaler, float(pred_scaled[0]))
         action = decide(self.policy, pred, self.prev_action)
         self.prev_action = action
         self.last_prediction = pred

@@ -393,25 +393,26 @@ def load_trace(path: str | Path, labels_path: str | Path | None = None) -> Trace
 
 
 def load_labels(path: str | Path) -> tuple[tuple[int, float], ...]:
-    """Load a window_index,qoe label table."""
+    """Load a window_index,qoe label table; a bad row's MalformedRow has the file as source."""
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["window_index", "qoe"]:
-        raise MalformedRow(0, "window_index", "bad labels header")
+        raise MalformedRow(0, "window_index", "bad labels header", path)
     out = []
     for i, row in enumerate(reader, start=1):
         if not row or all(not c.strip() for c in row):
             continue
+        name, v = "window_index", row[0]
         try:
-            v = row[0]
             idx = int(v)
-            v = row[1]
+            name, v = "qoe", row[1] if len(row) > 1 else ""
             q = float(v)
-        except (IndexError, ValueError) as exc:
-            raise MalformedRow(i, "qoe", _shown(str(exc), v)) from None
+        except ValueError as exc:
+            detail = _shown(str(exc), v) if v.strip() else "missing"
+            raise MalformedRow(i, name, detail, path) from None
         if not (0.0 <= q <= 100.0):
-            raise MalformedRow(i, "qoe", f"out of range: {q}")
+            raise MalformedRow(i, "qoe", f"out of range: {q}", path)
         out.append((idx, q))
     return tuple(out)
 

@@ -10,7 +10,7 @@ the prediction.
 Trained weights travel as a ModelBundle: a JSON document holding the
 architecture id, the protocol geometry, the scaler, 32-bit parameters and
 a CRC-32 over their canonical serialization. BundleRunner is the one way
-to run a bundle.
+to run a bundle; it checks the weight shapes once.
 """
 
 from __future__ import annotations
@@ -74,13 +74,13 @@ class ForecastModel:
                 train: bool = False, rng: np.random.Generator | None = None):
         raise NotImplementedError
 
-    def begin(self, params: Mapping[str, nc.Weight], x: Tensor):
+    def begin(self, params: Mapping[str, np.ndarray], x: Tensor):
         """The part of an untaped forward pass that reads only the first
         CONTEXT_LEN - 1 windows of x, for finish; None where the model has
-        no such part."""
+        no such part. Neither checks the weights: BundleRunner has."""
         return None
 
-    def finish(self, params: Mapping[str, nc.Weight], begun, x: Tensor):
+    def finish(self, params: Mapping[str, np.ndarray], begun, x: Tensor):
         """forward(params, x) without a tape, given begun = begin(params, x')
         for an x' that equals x except in its last window: the same bits as
         the forward pass."""
@@ -109,8 +109,9 @@ class RecurrentModel(ForecastModel):
         self.dropout_rate = dropout_rate
         self.model_class = cell
         self._gates = 3 if cell == "gru" else 4
-        self._layer, self._steps = ((nc.gru_layer, nc.gru_steps) if cell == "gru"
-                                    else (nc.lstm_layer, nc.lstm_steps))
+        self._layer, self._loop, self._carried = (  # a step carries h, or h and c
+            (nc.gru_layer, nc._gru_steps, 1) if cell == "gru"
+            else (nc.lstm_layer, nc._lstm_steps, 2))
         super().__init__(variant_id)
 
     def _build_specs(self) -> list[ParamSpec]:
@@ -142,7 +143,7 @@ class RecurrentModel(ForecastModel):
             seq = self._layer(tape, seq, *self._cell(params, li))
             if li < len(self.layer_units) - 1 and self.dropout_rate > 0.0:
                 seq = nc.dropout(tape, seq, self.dropout_rate, train, rng)
-        return self._head(tape, params, seq)
+        return self._head(tape, params, seq if tape is not None else seq.data)
 
     def begin(self, params, x):
         """Every layer's first CONTEXT_LEN - 1 steps, as (states, carry) per
@@ -155,25 +156,34 @@ class RecurrentModel(ForecastModel):
             if li:
                 seq = nc.stack_states([*hs, hs[-1]])
             hs: list[np.ndarray] = []
-            carry = self._steps(seq, *self._cell(params, li), None, hs, CONTEXT_LEN - 1)
+            W, U, b = self._cell(params, li)
+            zero = (np.zeros((len(seq), U.shape[0])),) * self._carried
+            carry = self._loop(nc._project(seq, W, b), U, *zero, hs, CONTEXT_LEN - 1)
             begun.append((tuple(hs), carry))
         return tuple(begun)
 
     def finish(self, params, begun, x):
-        """Every layer's last step, then attention and the head."""
+        """Every layer's last step, then attention and the head, on arrays."""
         self._check_input(x)
         seq = x.data
         for li, (states, carry) in enumerate(begun):
             hs = list(states)
-            self._steps(seq, *self._cell(params, li), carry, hs, CONTEXT_LEN)
+            W, U, b = self._cell(params, li)
+            self._loop(nc._project(seq, W, b), U, *carry, hs, CONTEXT_LEN)
             seq = nc.stack_states(hs)
-        return self._head(None, params, Tensor(seq))
+        return self._head(None, params, seq)
 
-    def _head(self, tape, params, seq: Tensor):
-        ctx, alpha = nc.additive_attention(tape, seq, params["att_kernel"],
-                                           params["att_bias"], params["att_score"])
-        pred = nc.reshape(tape, _dense(tape, params, "out", ctx), (seq.data.shape[0],))
-        return pred, {"attention": alpha.copy()}
+    def _head(self, tape, params, seq):
+        """Attention and the dense layer over a Tensor with a tape, else an array."""
+        if tape is not None:
+            ctx, alpha = nc.additive_attention(tape, seq, params["att_kernel"],
+                                               params["att_bias"], params["att_score"])
+            pred = nc.reshape(tape, _dense(tape, params, "out", ctx), (seq.data.shape[0],))
+            return pred, {"attention": alpha.copy()}
+        W, b, v, kernel, bias = (w.data if isinstance(w, Tensor) else w for w in map(
+            params.__getitem__, ("att_kernel", "att_bias", "att_score", "out_kernel", "out_bias")))
+        ctx, alpha, _ = nc._attention(seq, W, b, v)
+        return Tensor((ctx @ kernel + bias).reshape(len(ctx))), {"attention": alpha}
 
 
 # -------------------------------------------------------------- transformer
@@ -432,17 +442,7 @@ def load_bundle(path) -> ModelBundle:
                     f"for shape {shape}")
             params[entry["name"]] = values.reshape(shape)
 
-        expected = {s.name: s.shape for s in model.param_specs}
-        if list(params) != list(expected):
-            raise ShapeMismatch(
-                f"{path}: params {list(params)} do not match {variant_id} "
-                f"spec {list(expected)}")
-        for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ShapeMismatch(
-                    f"{path}: param {name!r} has shape {params[name].shape}, "
-                    f"spec {shape}")
-
+        _check_params(model, params, path)
         stored = doc.get("checksum")
         actual = params_checksum(params)
         if stored != actual:
@@ -458,18 +458,31 @@ def load_bundle(path) -> ModelBundle:
         raise malformed(path, exc) from None
 
 
+def _check_params(model: ForecastModel, params: Mapping[str, np.ndarray], source) -> None:
+    """Raise ShapeMismatch naming `source` unless params have the spec's names and shapes."""
+    expected = {s.name: s.shape for s in model.param_specs}
+    if list(params) != list(expected):
+        raise ShapeMismatch(f"{source}: params {list(params)} do not match "
+                            f"{model.variant_id} spec {list(expected)}")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise ShapeMismatch(
+                f"{source}: param {name!r} has shape {params[name].shape}, spec {shape}")
+
+
 class BundleRunner:
     """The one inference path for a bundle: builds its variant and widens
     the stored float32 weights to float64 once, then runs forward passes.
 
     The widened weights are plain ndarrays, which nncore treats as
     constants: a backward pass forms no weight gradient and leaves no state
-    in the runner."""
+    in the runner. Their shapes are checked here, once, for all passes."""
 
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.model = build_variant(bundle.variant_id)
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in bundle.params.items()}
+        _check_params(self.model, self.params, f"bundle {bundle.variant_id}")
 
     def predict(self, batch: np.ndarray) -> tuple[np.ndarray, dict]:
         pred, aux = self.model.forward(self.params, Tensor(batch), tape=None, train=False)

@@ -1,4 +1,4 @@
-"""Op-by-op references for the fused nncore kernels.
+"""Op-by-op references for the fused nncore kernels and the scaler.
 
 The elementwise product, the axis permutation, tanh, softmax and the layer
 norm are tape primitives kept here only to spell out the fused ops one
@@ -6,6 +6,9 @@ operation at a time, the way the models ran them before they were fused.
 Tests compare nncore.encoder_block against encoder_block_reference, and
 nncore.additive_attention against additive_attention_reference, the nine
 primitive ops the recurrent models ran before the head was fused.
+scale_features_reference and inverse_target_reference are the scaler's
+formulas with nothing derived ahead, all in float64 arrays; the pipeline's
+functions must give their bits.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import numpy as np
 from qoecast import nncore as nc
 from qoecast.errors import ShapeMismatch
 from qoecast.nncore import Tape, Tensor
+from qoecast.pipeline import QOE_FEATURE
 from qoecast.zoo import _dense
 
 
@@ -124,3 +128,20 @@ def additive_attention_reference(tape, seq, W, b, v):
     alpha = softmax(tape, nc.reshape(tape, scores, (B, T)), axis=1)
     ctx = nc.matmul(tape, nc.reshape(tape, alpha, (B, 1, T)), seq)
     return nc.reshape(tape, ctx, (B, u)), alpha.data
+
+
+def scale_features_reference(stats, raw):
+    """pipeline.scale_features with the mask and span formed on each call."""
+    raw = np.asarray(raw, dtype=np.float64)
+    degenerate = stats.maxs == stats.mins
+    span = np.where(degenerate, 1.0, stats.maxs - stats.mins)
+    scaled = (raw - stats.mins) / span
+    return np.where(degenerate, 0.0, scaled)
+
+
+def inverse_target_reference(stats, scaled):
+    """pipeline.inverse_target with every input, a float too, as an array."""
+    lo, hi = stats.mins[QOE_FEATURE], stats.maxs[QOE_FEATURE]
+    if hi == lo:
+        return np.zeros_like(np.asarray(scaled, dtype=np.float64)) + lo
+    return lo + np.asarray(scaled, dtype=np.float64) * (hi - lo)

@@ -235,8 +235,10 @@ class TestExitCodes:
          "need 0 <= alert <= reduce_bitrate <= 100, got 80.0/70.0"),
         (["serve", "--bundle", "{run}/gru_basic.bundle.json", "--hysteresis", "-1"],
          "hysteresis must be non-negative"),
+        (["serve", "--bundle", "{run}/gru_basic.bundle.json", "--hysteresis", "nan"],
+         "hysteresis must be non-negative and finite, got nan"),
     ], ids=["duration", "traces_0", "traces_negative", "max_epochs", "steps", "policy_order",
-            "hysteresis"])
+            "hysteresis", "hysteresis_nan"])
     def test_option_value_the_library_rejects_is_usage_error(self, flow, tmp_path, capsys,
                                                              argv, message):
         # these exited 2, as data errors (a trace count below 1 exited 0), and
@@ -306,6 +308,25 @@ class TestExitCodes:
                      str(tmp_path / "ds")]) == 2
         assert ("MalformedRow: record 2: bad value for 'record' (invalid utf-8)"
                 in capsys.readouterr().err)
+
+    def test_prepare_names_the_file_of_a_bad_row(self, flow, tmp_path, capsys):
+        # over several traces the record number alone did not say where
+        data = tmp_path / "data"
+        shutil.copytree(flow / "data", data)
+        trace = data / "trace_01.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        lines[4] = "1.5" + lines[4][lines[4].index(","):]
+        trace.write_text("".join(lines))
+        assert main(["prepare", "--data", str(data), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: MalformedRow: record 4: bad value for 'ts_ms' "
+                       f"(not an integer: 1.5) in {trace}\n")
+        shutil.copy(flow / "data" / "trace_01.csv", trace)
+        (data / "labels_00.csv").write_text("window_index,qoe\n0,50.0\nabc,50.0\n")
+        assert main(["prepare", "--data", str(data), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedRow: record 2: bad value for 'window_index' (")
+        assert err.endswith(f" in {data / 'labels_00.csv'}\n")
 
     def test_train_rejects_another_context_length(self, flow, tmp_path, capsys):
         # used to fail late in the fit, or to write a bundle nothing could load

@@ -31,6 +31,8 @@ from qoecast.seeding import derive_seed
 from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle
 from qoecast.telemetry import WINDOW_S, TelemetrySample, Trace
 
+from op_reference import inverse_target_reference, scale_features_reference
+
 
 DATASET_FILES = ("train.ndjson", "val.ndjson", "test.ndjson", "scaler.json", "dataset.json")
 
@@ -220,6 +222,70 @@ class TestScaler:
             fit_scaler(ws[:1])
 
 
+INF, NAN = float("inf"), float("nan")
+# no degenerate feature; two degenerate features and a degenerate target; a
+# degenerate target whose bounds are -0.0
+EXACT_SCALERS = {
+    "live": ScalerStats(mins=np.array([0.5, -3.0, 0.0, 0.0, 1e-3, 12.5]),
+                        maxs=np.array([49.75, 120.0, 0.07, 611.0, 95.5, 97.25])),
+    "flat": ScalerStats(mins=np.array([0.5, 15.0, 0.0, -0.0, 1e-3, 55.0]),
+                        maxs=np.array([49.75, 15.0, 0.07, 0.0, 95.5, 55.0])),
+    "negzero": ScalerStats(mins=np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.0]),
+                           maxs=np.array([1.0, 1.0, 1.0, 1.0, 1.0, -0.0])),
+}
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestScalingExactness:
+    """scale_features and inverse_target give the bits of the plain formulas
+    in tests/op_reference.py for every kind of input, non-finite values
+    included."""
+
+    def _rows(self, rng):
+        rows = rng.uniform(-50.0, 650.0, size=(40, 6))
+        rows[0] = [NAN, INF, -INF, 0.0, -0.0, 1e30]
+        rows[1] = [-INF, NAN, INF, -1e30, 5e-324, NAN]
+        rows[2] = [-0.0, 15.0, 0.07, 0.0, 95.5, 55.0]
+        return rows
+
+    @pytest.mark.parametrize("name", EXACT_SCALERS)
+    def test_scale_features_bits(self, name, rng):
+        stats = EXACT_SCALERS[name]
+        rows = self._rows(rng)
+        kept = rows.copy()
+        for raw in (rows, rows[3], rows[0], rows.reshape(8, 5, 6), rows.astype(np.float32),
+                    tuple(rows[1].tolist()), rows[2].tolist()):
+            assert _same_bits(scale_features(stats, raw),
+                              scale_features_reference(stats, raw))
+        assert _same_bits(rows, kept)  # the input is not written
+        ring = np.full((1, 5, 6), 7.0)
+        for k, row in enumerate(rows[:5]):
+            into = ring[0, k]
+            assert scale_features(stats, tuple(row.tolist()), out=into) is into
+        assert _same_bits(ring[0], scale_features_reference(stats, rows[:5]))
+
+    @pytest.mark.parametrize("name", EXACT_SCALERS)
+    def test_inverse_target_bits(self, name, rng):
+        stats = EXACT_SCALERS[name]
+        values = rng.uniform(-0.5, 1.5, size=64)
+        values[:6] = [NAN, INF, -INF, 0.0, -0.0, 1e30]
+        for v in values.tolist():
+            got = inverse_target(stats, v)
+            assert type(got) is float or stats.degenerate[QOE_FEATURE]  # mapped in floats
+            assert _same_bits(np.float64(got), inverse_target_reference(stats, v))
+        for v in values[:8]:  # numpy float64 scalars, as predictions come
+            assert _same_bits(np.float64(inverse_target(stats, v)),
+                              inverse_target_reference(stats, v))
+        for arr in (values, values.astype(np.float32), values.reshape(8, 8),
+                    np.asarray(values[7]), np.float32(values[9])):
+            assert _same_bits(inverse_target(stats, arr), inverse_target_reference(stats, arr))
+
+
 def _all_rows(ds):
     """The train, val and test rows of a dataset, in order, as one part."""
     parts = (ds.train, ds.val, ds.test)
@@ -406,6 +472,22 @@ class TestDatasetIO:
         save_dataset(load_dataset(first), again)
         for name in DATASET_FILES:
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_split_rows_are_the_json_of_each_row(self, small_dataset, tmp_path):
+        # each distinct window row is rendered once: the text must still be
+        # json.dumps of the whole row, for repeated rows, -0.0 and NaN too
+        X = small_dataset.test.X.copy()
+        X[0, 0, 1], X[1, 2, 3], X[2, 4, :] = -0.0, NAN, 0.0
+        X[3, 1] = X[3, 0]
+        ds = replace(small_dataset, test=replace(small_dataset.test, X=X))
+        save_dataset(ds, tmp_path)
+        for name in ("train", "val", "test"):
+            part = getattr(ds, name)
+            want = "".join(
+                json.dumps({"origin": list(o), "inputs": x, "target": y, "target_ts_ms": ts})
+                + "\n" for o, x, y, ts in zip(part.origin, part.X.tolist(), part.y.tolist(),
+                                              part.target_ts_ms.tolist()))
+            assert (tmp_path / f"{name}.ndjson").read_text(encoding="utf-8") == want, name
 
     def test_stored_end_times_are_the_last_targets(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path)

@@ -19,8 +19,10 @@ from qoecast.serve import (
 from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle, window_qoe
 from qoecast.telemetry import (WINDOW_MS, TelemetrySample, Trace, WindowAggregator, load_trace,
                                write_trace)
-from qoecast.zoo import BundleRunner, ModelBundle, build_variant, load_bundle
+from qoecast.zoo import ALL_VARIANTS, BundleRunner, ModelBundle, build_variant, load_bundle
 from qoecast.pipeline import inverse_target, window_trace
+
+from op_reference import inverse_target_reference, scale_features_reference
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -141,6 +143,13 @@ class TestDecide:
             FeedbackPolicy(reduce_bitrate_threshold=101.0)
         with pytest.raises(ValueError):
             FeedbackPolicy(hysteresis=-0.5)
+
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_hysteresis_rejected(self, margin):
+        # a NaN margin made every de-escalation test False: an active alert
+        # dropped to none with no hold
+        with pytest.raises(ValueError, match="hysteresis must be"):
+            FeedbackPolicy(hysteresis=margin)
 
 
 def _drive(state, samples):
@@ -360,7 +369,8 @@ class TestOfflineEquivalence:
 def _reference_decisions(bundle, samples):
     """(ts_ms, qoe_pred, action, inputs_scaled) of every decision under the
     plain rule: a ring of raw window rows, and at each window that fills
-    it the whole context scaled and run through a batch-1 predict."""
+    it the whole context scaled and run through a batch-1 predict, with
+    the scaler's plain formulas from op_reference."""
     runner = BundleRunner(bundle)
     ring = deque(maxlen=5)
     out = []
@@ -375,8 +385,9 @@ def _reference_decisions(bundle, samples):
         prev_qoe = window_qoe(win, prev_qoe, win.qoe, last)
         ring.append(np.array((*win.link, prev_qoe)))
         if len(ring) == 5:
-            scaled = scale_features(bundle.scaler, np.stack(ring))
-            last = float(inverse_target(bundle.scaler, runner.predict(scaled[None])[0][0]))
+            scaled = scale_features_reference(bundle.scaler, np.stack(ring))
+            last = float(inverse_target_reference(bundle.scaler,
+                                                  runner.predict(scaled[None])[0][0]))
             action = decide(POLICY, last, action)
             out.append(((win.index + 1) * WINDOW_MS, last, action, scaled))
     return out
@@ -399,19 +410,23 @@ def _spy_runner(state):
     return calls
 
 
-def _lstm_deep_bundle(scaler):
-    params = {k: v.astype(np.float32) for k, v in build_variant("lstm_deep").init_params(3).items()}
-    return ModelBundle(variant_id="lstm_deep", scaler=scaler, params=params, meta={})
+def _init_bundle(vid, scaler):
+    params = {k: v.astype(np.float32) for k, v in build_variant(vid).init_params(3).items()}
+    return ModelBundle(variant_id=vid, scaler=scaler, params=params, meta={})
 
 
-@pytest.fixture(params=["gru_basic", "lstm_deep"])
-def recurrent_bundle(request, gru_bundle):
-    return gru_bundle if request.param == "gru_basic" else _lstm_deep_bundle(gru_bundle.scaler)
+@pytest.fixture(params=ALL_VARIANTS)
+def any_bundle(request, gru_bundle):
+    """The trained gru_basic bundle, or a variant at its seeded init."""
+    return gru_bundle if request.param == "gru_basic" else _init_bundle(request.param,
+                                                                        gru_bundle.scaler)
 
 
 class TestBeginAhead:
-    """A recurrent bundle begins each context on the tick after its fourth
-    window joins the ring; the completing tick only finishes it."""
+    """Each context begins on the tick after its fourth window joins the
+    ring, and the completing tick only finishes it: for a recurrent bundle
+    the last step per layer and the head, for any other the whole forward
+    pass. Every variant decides as a batch-1 predict of its context."""
 
     def _serve(self, bundle, samples):
         state = StreamState(bundle, POLICY)
@@ -436,50 +451,50 @@ class TestBeginAhead:
             assert (d.ts_ms, d.qoe_pred, d.action) == (ts, pred, action)
             assert np.array_equal(d.inputs_scaled, scaled)
             alone = runner.predict(d.inputs_scaled[None])[0][0]
-            assert d.qoe_pred == float(inverse_target(bundle.scaler, alone))
+            assert d.qoe_pred == float(inverse_target_reference(bundle.scaler, alone))
 
-    def test_gap_free_stream_only_finishes_on_decision_ticks(self, recurrent_bundle):
+    def test_gap_free_stream_only_finishes_on_decision_ticks(self, any_bundle):
         samples = _inband_samples(derive_seed(11, "trace:0"), 300)
-        state, ticks, decisions = self._serve(recurrent_bundle, samples)
+        state, ticks, decisions = self._serve(any_bundle, samples)
         assert len(decisions) == 26
         for calls, d in ticks:
             assert calls == ["finish"] if d is not None else calls in ([], ["begin"])
         assert sum(calls == ["begin"] for calls, _ in ticks) == 26
-        self._check_against_reference(recurrent_bundle, samples, decisions)
+        self._check_against_reference(any_bundle, samples, decisions)
         # every decision hands out a fresh array, not the ring itself
         for d in decisions:
             assert not np.shares_memory(d.inputs_scaled, state._context)
         decisions[-1].inputs_scaled[:] = np.nan
         assert np.all(np.isfinite(state._context))
 
-    def test_first_decision_after_a_gap_and_a_thin_window(self, recurrent_bundle):
+    def test_first_decision_after_a_gap_and_a_thin_window(self, any_bundle):
         samples = _inband_samples(derive_seed(12, "trace:0"), 400)
         # a 25-tick gap in window 9 and on, a window 20 of 7 ticks
         samples = [s for s in samples
                    if not (95000 <= s.ts_ms < 120000 or 203000 <= s.ts_ms < 206000)]
-        state, _, decisions = self._serve(recurrent_bundle, samples)
+        state, _, decisions = self._serve(any_bundle, samples)
         assert state.stats.dropped_windows == 4
         restarts = {d.ts_ms for d in decisions} & {170000, 260000}
         assert restarts == {170000, 260000}  # five windows after each restart
-        self._check_against_reference(recurrent_bundle, samples, decisions)
+        self._check_against_reference(any_bundle, samples, decisions)
 
-    def test_forecasts_fed_back_when_inband_qoe_stops(self, recurrent_bundle):
+    def test_forecasts_fed_back_when_inband_qoe_stops(self, any_bundle):
         samples = _inband_samples(derive_seed(13, "trace:0"), 300)
         samples = samples[:150] + [s._replace(qoe=None) for s in samples[150:]]
-        _, _, decisions = self._serve(recurrent_bundle, samples)
+        _, _, decisions = self._serve(any_bundle, samples)
         assert len(decisions) == 26
-        self._check_against_reference(recurrent_bundle, samples, decisions)
+        self._check_against_reference(any_bundle, samples, decisions)
 
-    def test_windows_that_join_with_no_tick_between(self, recurrent_bundle):
+    def test_windows_that_join_with_no_tick_between(self, any_bundle):
         # the window aggregator closes at most one window per tick; should
         # windows ever join back to back, the context begins when it is due
         samples = _inband_samples(derive_seed(14, "trace:0"), 80)
         windows = list(WindowAggregator().windows(samples))
-        state = StreamState(recurrent_bundle, POLICY)
+        state = StreamState(any_bundle, POLICY)
         calls = _spy_runner(state)
         decisions = [state._finalize(w) for w in windows]
         assert calls == ["begin", "finish"] * 4
-        self._check_against_reference(recurrent_bundle, samples,
+        self._check_against_reference(any_bundle, samples,
                                       [d for d in decisions if d is not None])
 
 

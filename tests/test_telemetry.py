@@ -289,6 +289,22 @@ class TestNumericStrictness:
         with pytest.raises(MalformedRow, match=r": <100000 characters>\)$"):
             load_labels(p)
 
+    @pytest.mark.parametrize("row,record_no,field,detail", [
+        ("abc,50.0", 2, "window_index", "invalid literal for int() with base 10: 'abc'"),
+        (",50.0", 2, "window_index", "missing"),
+        ("3", 2, "qoe", "missing"),
+        ("3, ", 2, "qoe", "missing"),
+        ("3,high", 2, "qoe", "could not convert string to float: 'high'"),
+    ])
+    def test_bad_label_row_names_its_field_and_file(self, tmp_path, row, record_no, field,
+                                                    detail):
+        p = tmp_path / "labels.csv"
+        p.write_text(f"window_index,qoe\n0,50.0\n{row}\n")
+        with pytest.raises(MalformedRow) as e:
+            load_labels(p)
+        assert (e.value.record_no, e.value.field, e.value.source) == (record_no, field, p)
+        assert str(e.value) == f"record {record_no}: bad value for {field!r} ({detail})"
+
     def test_short_values_echoed_as_before(self, tmp_path):
         p = tmp_path / "t.ndjson"
         p.write_text(_ndjson_record(ts_ms="1.5", speed_kmh="abc") + "\n")

@@ -363,6 +363,27 @@ class TestBundleRunner:
             assert runner.begin(x) is None
             assert np.array_equal(runner.finish(None, x)[0], runner.predict(x)[0])
 
+    @pytest.mark.parametrize("vid", ALL_VARIANTS)
+    def test_predict_is_the_taped_forward_bit_for_bit(self, vid, rng):
+        # the untaped forward runs the recurrent head on arrays; it must keep
+        # the taped ops' operand shapes and so their bits
+        runner = BundleRunner(_make_bundle(vid, seed=2))
+        for n in (1, 16):
+            x = _batch(rng, n)
+            pred = runner.predict(x)[0]
+            assert pred.tobytes() == runner.input_gradients(x)[0].tobytes()
+
+    def test_runner_checks_weight_shapes_when_built(self):
+        # begin and finish run unchecked on the runner's weights
+        b = _make_bundle("gru_basic")
+        b.params["att_score"] = b.params["att_score"].reshape(1, -1)
+        with pytest.raises(ShapeMismatch, match=r"'att_score' has shape \(1, 128\)"):
+            BundleRunner(b)
+        b = _make_bundle("lstm_deep")
+        del b.params["out_bias"]
+        with pytest.raises(ShapeMismatch, match="bundle lstm_deep: params .* do not match"):
+            BundleRunner(b)
+
     def test_runner_widens_once(self, rng):
         b = _make_bundle("lin_basic")
         runner = BundleRunner(b)
