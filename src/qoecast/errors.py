@@ -1,10 +1,11 @@
 """Exception types raised across the package.
 
 Everything domain-level derives from QoecastError so callers (and the CLI)
-can separate bad data / bad usage from genuine bugs.
+can separate bad data / bad usage from genuine bugs; reading() is the read
+boundary of every JSON artifact file.
 """
 
-import json
+from contextlib import contextmanager
 
 
 class QoecastError(Exception):
@@ -91,6 +92,10 @@ class ChecksumMismatch(QoecastError):
     pass
 
 
+class ScalerMissing(QoecastError):
+    pass
+
+
 # -------------------------------------------------------------------- train
 
 class LengthMismatch(QoecastError):
@@ -131,24 +136,19 @@ class OutOfOrderSample(QoecastError):
     pass
 
 
-class ScalerMissing(QoecastError):
-    pass
-
-
 # ---------------------------------------------------- bundle and dataset files
 
-def malformed(source, exc: KeyError | TypeError | ValueError | OverflowError) -> ShapeMismatch:
-    """The error for a JSON document, read from `source`, that lacks a key
-    (KeyError), holds a wrong type (TypeError), does not parse (ValueError)
-    or holds an integer past the float range (OverflowError)."""
-    if isinstance(exc, KeyError):
-        return ShapeMismatch(f"{source}: no {exc.args[0]!r} key")
-    return ShapeMismatch(f"{source}: malformed ({exc})")
-
-
-def load_json(text: str, source):
-    """json.loads, with a syntax error raised as ShapeMismatch naming `source`."""
+@contextmanager
+def reading(source):
+    """The read boundary of a JSON artifact: read and check `source` inside
+    it, and a missing key (KeyError), a wrong type (TypeError), bytes or
+    text that do not decode or parse, a value that does not convert
+    (ValueError), an integer past the float range (OverflowError) or JSON
+    nested too deeply to decode (RecursionError) raises ShapeMismatch
+    naming `source`. Domain errors pass through as they are."""
     try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise malformed(source, exc) from None
+        yield
+    except KeyError as exc:
+        raise ShapeMismatch(f"{source}: no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ShapeMismatch(f"{source}: malformed ({exc})") from None

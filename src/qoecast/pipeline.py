@@ -25,8 +25,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSequences,
     TraceTooShort,
-    load_json,
-    malformed,
+    reading,
 )
 from .synthgen import window_qoe
 from .telemetry import MIN_WINDOW_COVERAGE, WINDOW_MS, WINDOW_S, Trace, WindowAggregator
@@ -150,7 +149,7 @@ class ScalerStats:
     def from_dict(cls, d: dict, source) -> "ScalerStats":
         """Read to_dict's output, from a bundle or scaler.json; values that
         to_dict would not have written raise ShapeMismatch naming `source`."""
-        try:
+        with reading(source):
             for key, kind, valid in (("mins", "finite numbers", _finite_number),
                                      ("maxs", "finite numbers", _finite_number),
                                      ("degenerate", "booleans", lambda v: type(v) is bool)):
@@ -164,8 +163,6 @@ class ScalerStats:
                 if d[key] != want:
                     raise ShapeMismatch(f"{source}: {key} is {d[key]!r}, "
                                         f"mins and maxs give {want!r}")
-        except (KeyError, TypeError) as exc:
-            raise malformed(source, exc) from None
         return stats
 
 
@@ -181,9 +178,9 @@ def fit_scaler(windows: list[WindowFeatures]) -> ScalerStats:
 
 
 def scale_features(stats: ScalerStats, raw, out: np.ndarray | None = None) -> np.ndarray:
-    """Min-max scale raw feature rows (..., 6), into `out` if given (serve's
-    ring row). Never clamped: values outside the fitted range scale past
-    [0, 1], which is intentional for test data."""
+    """Min-max scale raw feature rows (..., 6), into `out` if given (a
+    Forecaster's ring row). Never clamped: values outside the fitted range
+    scale past [0, 1], which is intentional for test data."""
     scaled = np.subtract(np.asarray(raw, dtype=np.float64), stats.mins, out=out)
     scaled /= stats.span
     np.copyto(scaled, 0.0, where=stats.degenerate)
@@ -349,19 +346,17 @@ def _split_facts(ds: PreparedDataset) -> dict:
 def _load_part(path: Path) -> SplitArrays:
     """Read one split file; a bad row raises ShapeMismatch naming the line."""
     xs, ys, origins, stamps = [], [], [], []
-    with path.open(encoding="utf-8") as fh:
+    with reading(path), path.open(encoding="utf-8") as fh:  # invalid UTF-8 names the file
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             where = f"{path} line {line_no}"
-            d = load_json(line, where)
-            try:
+            with reading(where):
+                d = json.loads(line)
                 x = np.asarray(d["inputs"], dtype=np.float64)
                 ys.append(float(d["target"]))
                 origins.append((d["origin"][0], int(d["origin"][1])))
                 stamps.append(int(d["target_ts_ms"]))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise malformed(where, exc) from None
             if x.shape != (CONTEXT_LEN, N_FEATURES):
                 raise ShapeMismatch(f"{where}: inputs have shape {x.shape}, "
                                     f"the model zoo takes {(CONTEXT_LEN, N_FEATURES)}")
@@ -381,14 +376,13 @@ def load_dataset(in_dir: str | Path) -> PreparedDataset:
     contradict, naming the file and, in a split, the line."""
     src = Path(in_dir)
     meta_path, scaler_path = src / "dataset.json", src / "scaler.json"
-    meta = load_json(meta_path.read_text(encoding="utf-8"), meta_path)
-    try:
+    with reading(meta_path):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         check_geometry(meta, meta_path)
         dropped = [tuple(d) for d in meta.get("dropped_windows", [])]
         stored = {key: meta[key] for key in ("counts", "train_end_ts_ms", "val_end_ts_ms")}
-    except (KeyError, TypeError) as exc:
-        raise malformed(meta_path, exc) from None
-    scaler_doc = load_json(scaler_path.read_text(encoding="utf-8"), scaler_path)
+    with reading(scaler_path):
+        scaler_doc = json.loads(scaler_path.read_text(encoding="utf-8"))
     ds = PreparedDataset(**{name: _load_part(src / f"{name}.ndjson") for name in PARTS},
                          scaler=ScalerStats.from_dict(scaler_doc, scaler_path),
                          dropped_windows=dropped)

@@ -14,16 +14,9 @@ oracle over the window's means (synthgen.window_qoe). Dropped windows
 (under 80% tick coverage or a non-finite mean) and empty window slots break
 context continuity and clear the ring, as gaps break offline sequences.
 
-A recurrent bundle runs its first four context windows before the window
-that completes the context arrives: once four windows are in the ring, the
-next tick runs every layer's first four steps (BundleRunner.begin), so the
-completing tick runs only one step per layer, attention and the head
-(BundleRunner.finish), scales its window straight into the ring and maps
-the prediction back in floats. The decision has the bits of a batch-1
-predict of its context. A decision's latency_ms covers the completing
-tick alone, from reading its line to the decision record being ready
-(explanation included), so the steps run ahead on earlier ticks are not
-in it.
+Kept windows go to a zoo.Forecaster, advanced once per tick. A decision's
+latency_ms covers its completing tick alone, from reading the line to the
+record being ready (explanation included), not work run on earlier ticks.
 """
 
 from __future__ import annotations
@@ -31,18 +24,18 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, IO, Iterable
 
 import numpy as np
 
-from .errors import OutOfOrderSample, QoecastError, ScalerMissing
+from .errors import OutOfOrderSample, QoecastError
 from .explain import integrated_gradients
-from .pipeline import CONTEXT_LEN, HORIZON, N_FEATURES, inverse_target, scale_features
+from .pipeline import HORIZON
 from .synthgen import window_qoe
 from .telemetry import (WINDOW_MS, WINDOW_S, TelemetrySample, Window, WindowAggregator,
                         _parse_record, decode_json_line)
-from .zoo import BundleRunner, ModelBundle
+from .zoo import Forecaster, ModelBundle
 
 ACTIONS = ("none", "reduce_bitrate", "alert")
 _SEVERITY = {a: i for i, a in enumerate(ACTIONS)}
@@ -130,27 +123,15 @@ class StreamStats:
 
 
 class StreamState:
-    """Incremental forecasting state over one telemetry stream.
-
-    The ring of the last CONTEXT_LEN kept windows is one scaled
-    (1, CONTEXT_LEN, N_FEATURES) buffer: each kept window is scaled
-    straight into its row. When the ring holds CONTEXT_LEN - 1 windows the
-    next window completes a context, so the first ingest after that runs
-    BundleRunner.begin on the ring, and the completing tick runs only
-    BundleRunner.finish. Clearing the ring discards a begun run.
-    """
+    """Incremental forecasting state over one telemetry stream: the window
+    aggregator, the QoE fallback chain, the feedback state and the
+    counters. Kept windows go to a Forecaster, whose context a dropped
+    window or an empty window slot resets."""
 
     def __init__(self, bundle: ModelBundle, policy: FeedbackPolicy):
-        if bundle.scaler is None:
-            raise ScalerMissing("bundle carries no scaler statistics")
-        self.bundle = bundle
         self.policy = policy
-        self.runner = BundleRunner(bundle)
+        self.forecaster = Forecaster(bundle)
         self._windows = WindowAggregator()
-        self._context = np.zeros((1, CONTEXT_LEN, N_FEATURES))  # scaled ring rows
-        self._filled = 0  # kept windows in the ring: rows 0 .. _filled - 1
-        self._begun = None  # runner.begin of the ring's first CONTEXT_LEN - 1 rows
-        self._begin_due = False
         self._last_ts: int | None = None
         self._prev_window_qoe: float | None = None
         self.last_prediction: float | None = None
@@ -167,8 +148,7 @@ class StreamState:
                 f"ts_ms {sample.ts_ms} not after {self._last_ts}")
         self._last_ts = sample.ts_ms
         self.stats.ticks += 1
-        if self._begin_due:
-            self._begin()
+        self.forecaster.advance()
         decision = None
         for win in self._windows.add(sample):
             decision = self._finalize(win) or decision
@@ -181,56 +161,32 @@ class StreamState:
             decision = self._finalize(win)
         return decision
 
-    def _clear(self) -> None:
-        self._filled = 0
-        self._begun = None
-        self._begin_due = False
-
-    def _begin(self) -> None:
-        """Drop the oldest row of a full ring and begin the next context on
-        the remaining CONTEXT_LEN - 1; the last row, not yet a window, is a
-        finite placeholder that begin does not count."""
-        if self._filled == CONTEXT_LEN:
-            self._context[0, :-1] = self._context[0, 1:]
-            self._filled -= 1
-        self._begun = self.runner.begin(self._context)
-        self._begin_due = False
-
     def _finalize(self, win: Window) -> ForecastDecision | None:
         if win.skipped:
             # empty window slots in between: context continuity is gone
             self.stats.dropped_windows += win.skipped
-            self._clear()
+            self.forecaster.reset()
         if win.dropped is not None:
             self.stats.dropped_windows += 1
-            self._clear()
+            self.forecaster.reset()
             return None
         qoe = window_qoe(win, self._prev_window_qoe, win.qoe, self.last_prediction)
         self._prev_window_qoe = qoe
-        if self._begin_due:  # windows joined with no tick in between
-            self._begin()
-        scale_features(self.bundle.scaler, (*win.link, qoe), out=self._context[0, self._filled])
-        self._filled += 1
         self.stats.windows += 1
-        self._begin_due = self._filled >= CONTEXT_LEN - 1
-        if self._filled < CONTEXT_LEN:
+        pred = self.forecaster.push((*win.link, qoe))
+        if pred is None:
             return None
-        return self._forecast(win.index)
-
-    def _forecast(self, window_index: int) -> ForecastDecision:
-        pred_scaled, _ = self.runner.finish(self._begun, self._context)
-        pred = inverse_target(self.bundle.scaler, float(pred_scaled[0]))
         action = decide(self.policy, pred, self.prev_action)
         self.prev_action = action
         self.last_prediction = pred
         self.stats.forecasts += 1
         self.stats.actions[action] += 1
         return ForecastDecision(
-            ts_ms=(window_index + 1) * WINDOW_MS,
+            ts_ms=(win.index + 1) * WINDOW_MS,
             horizon_s=HORIZON * WINDOW_S,
             qoe_pred=pred,
             action=action,
-            inputs_scaled=self._context[0].copy(),
+            inputs_scaled=self.forecaster.context[0].copy(),
         )
 
 
@@ -261,7 +217,7 @@ def run_stream(
 
     def emit(decision: ForecastDecision, t0: float) -> None:
         if explain_on_alert and decision.action == "alert":
-            attribution = integrated_gradients(state.runner, decision.inputs_scaled)
+            attribution = integrated_gradients(state.forecaster.runner, decision.inputs_scaled)
             decision.explain = [
                 {"window": w, "feature": f, "attribution": v}
                 for w, f, v in attribution.top_k(EXPLAIN_TOP_K)
@@ -293,13 +249,6 @@ def run_stream(
     if tail is not None:
         emit(tail, t0)
 
-    summary = {
-        "ticks": state.stats.ticks,
-        "windows": state.stats.windows,
-        "dropped_windows": state.stats.dropped_windows,
-        "forecasts": state.stats.forecasts,
-        "errors": state.stats.errors,
-        "actions": state.stats.actions,
-    }
+    summary = asdict(state.stats)
     outstream.write(json.dumps({"summary": summary}) + "\n")
     return summary

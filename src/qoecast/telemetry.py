@@ -331,12 +331,12 @@ def decode_json_line(line: str | bytes, record_no: int) -> dict:
 _KNOWN_FIELDS = frozenset(FIELD_NAMES) | {"qoe"}
 
 
-def _csv_records(text: str) -> Iterator[tuple[int, dict]]:
+def _csv_records(text: str, source) -> Iterator[tuple[int, dict]]:
     reader = csv.reader(io.StringIO(text, newline=None))  # universal newlines
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyTrace("file has no header row") from None
+        raise EmptyTrace(f"{source}: file has no header row") from None
     header = [h.strip() for h in header]
     missing = [n for n in FIELD_NAMES if n not in header]
     if missing:
@@ -372,15 +372,8 @@ def load_trace(path: str | Path, labels_path: str | Path | None = None) -> Trace
     """
     path = Path(path)
     ndjson = _trace_format(path) == "ndjson"
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line of the first bad byte, counted the way the readers split
-        # lines; the bytes before it decode
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines()) - 1
-        raise MalformedRow(line + 1 if ndjson else line, "record", "invalid utf-8") from None
-    records = _ndjson_records(text) if ndjson else _csv_records(text)
+    text = _read_text(path, 1 if ndjson else 0)
+    records = _ndjson_records(text) if ndjson else _csv_records(text, path)
     samples = tuple(_parse_record(raw, record_no) for record_no, raw in records)
     if not samples:
         raise EmptyTrace(f"{path}: no valid samples")
@@ -392,9 +385,20 @@ def load_trace(path: str | Path, labels_path: str | Path | None = None) -> Trace
         raise NonMonotonicTimestamp(f"{path}: {exc}") from None
 
 
+def _read_text(path: Path, first_record: int, source=None) -> str:
+    """A file's UTF-8 text; invalid UTF-8 raises MalformedRow with `source` on
+    the record of the first bad byte's line, the first line being first_record."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # lines before the bad byte, as the readers split them
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines()) - 1
+        raise MalformedRow(line + first_record, "record", "invalid utf-8", source) from None
+
+
 def load_labels(path: str | Path) -> tuple[tuple[int, float], ...]:
-    """Load a window_index,qoe label table; a bad row's MalformedRow has the file as source."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Load a window_index,qoe label table; a bad row's (or byte's) MalformedRow names the file."""
+    text = _read_text(Path(path), 0, path)
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["window_index", "qoe"]:

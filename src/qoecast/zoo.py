@@ -10,7 +10,8 @@ the prediction.
 Trained weights travel as a ModelBundle: a JSON document holding the
 architecture id, the protocol geometry, the scaler, 32-bit parameters and
 a CRC-32 over their canonical serialization. BundleRunner is the one way
-to run a bundle; it checks the weight shapes once.
+to run a bundle; it checks the weight shapes once. A Forecaster runs one
+on a stream of raw windows, in QoE units.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from typing import Mapping
 import numpy as np
 
 from . import nncore as nc
-from .errors import (ChecksumMismatch, ShapeMismatch, UnknownVariant, VersionMismatch,
-                     load_json, malformed)
+from .errors import (ChecksumMismatch, ScalerMissing, ShapeMismatch, UnknownVariant,
+                     VersionMismatch, reading)
 from .nncore import ParamSpec, Tape, Tensor
 from .pipeline import (CONTEXT_LEN, GEOMETRY, N_FEATURES, QOE_FEATURE, ScalerStats,
-                       check_geometry)
+                       check_geometry, inverse_target, scale_features)
 
 ATTENTION_WIDTH = 128
 D_MODEL = 32
@@ -416,21 +417,23 @@ def load_bundle(path) -> ModelBundle:
     CRC-32 of the params section, declared shapes against value counts, and
     both against the architecture's own parameter spec. A window_s,
     context_len or feature_order other than the protocol's raises
-    ShapeMismatch naming the field, as load_dataset does; so does a JSON
-    syntax error, a missing key, a value of the wrong JSON type or a bad
-    scaler. Every error names the file.
+    ShapeMismatch naming the field, as load_dataset does; so do a bad
+    scaler and what errors.reading maps (bad UTF-8 or JSON, a missing key,
+    a wrong type or an int past the float range). Every error names the file.
     """
-    doc = load_json(Path(path).read_text(encoding="utf-8"), path)
-    if not isinstance(doc, dict):
-        raise ShapeMismatch(f"{path}: not a JSON object")
-    version = doc.get("format_version")
-    if version != BUNDLE_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"{path}: format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
-    try:
+    with reading(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ShapeMismatch(f"{path}: not a JSON object")
+        version = doc.get("format_version")
+        if version != BUNDLE_FORMAT_VERSION:
+            raise VersionMismatch(
+                f"{path}: format {version!r} unsupported (expected {BUNDLE_FORMAT_VERSION})")
         check_geometry(doc, path, BUNDLE_GEOMETRY)
-        variant_id = doc["variant_id"]
-        model = build_variant(variant_id)  # raises UnknownVariant
+        try:
+            model = build_variant(doc["variant_id"])
+        except UnknownVariant as exc:
+            raise UnknownVariant(f"{path}: {exc}") from None
 
         params: dict[str, np.ndarray] = {}
         for entry in doc["params"]:
@@ -449,13 +452,11 @@ def load_bundle(path) -> ModelBundle:
             raise ChecksumMismatch(f"{path}: params checksum {actual} != stored {stored}")
 
         return ModelBundle(
-            variant_id=variant_id,
+            variant_id=model.variant_id,
             scaler=ScalerStats.from_dict(doc["scaler"], path),
             params=params,
             meta=doc.get("meta", {}),
         )
-    except (KeyError, TypeError) as exc:
-        raise malformed(path, exc) from None
 
 
 def _check_params(model: ForecastModel, params: Mapping[str, np.ndarray], source) -> None:
@@ -507,3 +508,54 @@ class BundleRunner:
         pred, _ = self.model.forward(self.params, x, tape, train=False)
         nc.backward(tape, nc.reduce_sum(tape, pred))
         return pred.data, x.grad
+
+
+class Forecaster:
+    """A bundle's forecasts over one stream of windows: the scaler, the
+    BundleRunner and the scaled (1, CONTEXT_LEN, N_FEATURES) ring of the
+    last CONTEXT_LEN kept windows, into whose rows push scales each window.
+
+    A recurrent bundle runs its first four context windows ahead: once four
+    are in the ring, the next advance (one per tick) runs every layer's
+    first four steps (BundleRunner.begin), so the push that completes the
+    context runs one step per layer, attention and the head
+    (BundleRunner.finish), and maps the prediction back in floats. Other
+    families run their whole forward pass there. A forecast has the bits
+    of a batch-1 predict of its context."""
+
+    def __init__(self, bundle: ModelBundle):
+        if bundle.scaler is None:
+            raise ScalerMissing("bundle carries no scaler statistics")
+        self.scaler = bundle.scaler
+        self.runner = BundleRunner(bundle)
+        self.context = np.zeros((1, CONTEXT_LEN, N_FEATURES))  # the ring's rows
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the ring at a gap, discarding a begun run."""
+        self._filled = 0  # kept windows in the ring: rows 0 .. _filled - 1
+        self._begun = None  # runner.begin of the ring's first CONTEXT_LEN - 1 rows
+        self._begin_due = False
+
+    def advance(self) -> None:
+        """Begin the next context if due: drop the oldest row of a full ring
+        and begin on the rest; the last row, not yet a window, is a finite
+        placeholder that begin does not count."""
+        if self._begin_due:
+            if self._filled == CONTEXT_LEN:
+                self.context[0, :-1] = self.context[0, 1:]
+                self._filled -= 1
+            self._begun = self.runner.begin(self.context)
+            self._begin_due = False
+
+    def push(self, raw_features) -> float | None:
+        """Scale one kept window's raw features into the ring; the QoE
+        forecast once the ring is full, else None."""
+        self.advance()  # windows pushed with no advance between them
+        scale_features(self.scaler, raw_features, out=self.context[0, self._filled])
+        self._filled += 1
+        self._begin_due = self._filled >= CONTEXT_LEN - 1
+        if self._filled < CONTEXT_LEN:
+            return None
+        pred_scaled, _ = self.runner.finish(self._begun, self.context)
+        return inverse_target(self.scaler, float(pred_scaled[0]))

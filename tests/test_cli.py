@@ -309,6 +309,23 @@ class TestExitCodes:
         assert ("MalformedRow: record 2: bad value for 'record' (invalid utf-8)"
                 in capsys.readouterr().err)
 
+    def test_prepare_names_an_empty_csv_trace(self, flow, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(flow / "data", data)
+        (data / "trace_01.csv").write_bytes(b"")
+        assert main(["prepare", "--data", str(data), "--out", str(tmp_path / "ds")]) == 2
+        assert capsys.readouterr().err == (f"error: EmptyTrace: {data / 'trace_01.csv'}: "
+                                           f"file has no header row\n")
+
+    def test_prepare_names_a_labels_file_with_an_invalid_byte(self, flow, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(flow / "data", data)
+        (data / "labels_01.csv").write_bytes(b"window_index,qoe\n0,50.0\n1,5\xff\n")
+        assert main(["prepare", "--data", str(data), "--out", str(tmp_path / "ds")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: MalformedRow: record 2: bad value for 'record' (invalid utf-8) "
+            f"in {data / 'labels_01.csv'}\n")
+
     def test_prepare_names_the_file_of_a_bad_row(self, flow, tmp_path, capsys):
         # over several traces the record number alone did not say where
         data = tmp_path / "data"
@@ -443,6 +460,23 @@ class TestExitCodes:
         path.write_bytes(LASTVALUE.read_bytes()[:200])
         assert main(["serve", "--bundle", str(path)]) == 2
         assert f"ShapeMismatch: {path}: malformed (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["401-digit integer in params", "invalid utf-8",
+                                      "nested list in params"])
+    def test_mutated_bundle_names_its_file(self, tmp_path, capsys, case):
+        # each used to exit 3 (OverflowError) or exit 2 without the file
+        data = LASTVALUE.read_bytes()
+        at = data.index(b'"values": [') + len(b'"values": [')
+        if case.startswith("401"):
+            data = data[:at] + b"9" * 401 + b", " + data[at:]
+        elif case == "invalid utf-8":
+            data = data[:at] + b'"\xff", ' + data[at:]
+        else:
+            data = data[:at] + b"[1.0, 2.0], [3.0], " + data[at:]
+        path = tmp_path / "bad.bundle.json"
+        path.write_bytes(data)
+        assert main(["serve", "--bundle", str(path)]) == 2
+        assert f"error: ShapeMismatch: {path}: malformed (" in capsys.readouterr().err
 
     def test_explain_rejects_another_datasets_scaler(self, flow, tmp_path, capsys):
         # the same check benchmark makes: explanations of inputs scaled with

@@ -19,7 +19,8 @@ from qoecast.serve import (
 from qoecast.synthgen import GeneratorConfig, generate_trace, qoe_oracle, window_qoe
 from qoecast.telemetry import (WINDOW_MS, TelemetrySample, Trace, WindowAggregator, load_trace,
                                write_trace)
-from qoecast.zoo import ALL_VARIANTS, BundleRunner, ModelBundle, build_variant, load_bundle
+from qoecast.zoo import (ALL_VARIANTS, BundleRunner, Forecaster, ModelBundle, build_variant,
+                         load_bundle)
 from qoecast.pipeline import inverse_target, window_trace
 
 from op_reference import inverse_target_reference, scale_features_reference
@@ -399,14 +400,14 @@ def _inband_samples(seed, duration_s):
     return [s._replace(qoe=label_of.get(s.ts_ms // WINDOW_MS)) for s in trace.samples]
 
 
-def _spy_runner(state):
+def _spy_runner(runner):
     """Record each call of the runner's begin, finish and predict."""
     calls = []
     for name in ("begin", "finish", "predict"):
-        def spy(*args, _name=name, _method=getattr(state.runner, name)):
+        def spy(*args, _name=name, _method=getattr(runner, name)):
             calls.append(_name)
             return _method(*args)
-        setattr(state.runner, name, spy)
+        setattr(runner, name, spy)
     return calls
 
 
@@ -430,7 +431,7 @@ class TestBeginAhead:
 
     def _serve(self, bundle, samples):
         state = StreamState(bundle, POLICY)
-        calls = _spy_runner(state)
+        calls = _spy_runner(state.forecaster.runner)
         ticks, decisions = [], []
         for s in samples:
             before = len(calls)
@@ -463,9 +464,9 @@ class TestBeginAhead:
         self._check_against_reference(any_bundle, samples, decisions)
         # every decision hands out a fresh array, not the ring itself
         for d in decisions:
-            assert not np.shares_memory(d.inputs_scaled, state._context)
+            assert not np.shares_memory(d.inputs_scaled, state.forecaster.context)
         decisions[-1].inputs_scaled[:] = np.nan
-        assert np.all(np.isfinite(state._context))
+        assert np.all(np.isfinite(state.forecaster.context))
 
     def test_first_decision_after_a_gap_and_a_thin_window(self, any_bundle):
         samples = _inband_samples(derive_seed(12, "trace:0"), 400)
@@ -491,11 +492,70 @@ class TestBeginAhead:
         samples = _inband_samples(derive_seed(14, "trace:0"), 80)
         windows = list(WindowAggregator().windows(samples))
         state = StreamState(any_bundle, POLICY)
-        calls = _spy_runner(state)
+        calls = _spy_runner(state.forecaster.runner)
         decisions = [state._finalize(w) for w in windows]
         assert calls == ["begin", "finish"] * 4
         self._check_against_reference(any_bundle, samples,
                                       [d for d in decisions if d is not None])
+
+
+def _raw_windows(scaler, rng, n):
+    """n raw feature rows inside the scaler's fitted range."""
+    return rng.uniform(scaler.mins, scaler.maxs, size=(n, 6))
+
+
+def _batch_forecast(bundle, rows):
+    """A batch-1 predict of the five rows, scaled and mapped back with the
+    scaler's plain formulas."""
+    scaled = scale_features_reference(bundle.scaler, rows)
+    pred = BundleRunner(bundle).predict(scaled[None])[0][0]
+    return float(inverse_target_reference(bundle.scaler, pred))
+
+
+class TestForecaster:
+    """A Forecaster forecasts each full ring as a batch-1 predict of its
+    context, however its pushes, advances and resets interleave."""
+
+    def test_windows_pushed_with_no_advance_between(self, any_bundle, rng):
+        forecaster = Forecaster(any_bundle)
+        calls = _spy_runner(forecaster.runner)
+        rows = _raw_windows(any_bundle.scaler, rng, 9)
+        got = [forecaster.push(tuple(row)) for row in rows]
+        assert got[:4] == [None] * 4
+        assert calls == ["begin", "finish"] * 5  # each push begins what is due
+        assert got[4:] == [_batch_forecast(any_bundle, rows[k - 4:k + 1]) for k in range(4, 9)]
+
+    def test_advance_begins_once_when_due(self, gru_bundle, rng):
+        forecaster = Forecaster(gru_bundle)
+        calls = _spy_runner(forecaster.runner)
+        for row in _raw_windows(gru_bundle.scaler, rng, 4):
+            forecaster.advance()
+            assert forecaster.push(row) is None
+        assert calls == []
+        forecaster.advance()
+        forecaster.advance()
+        assert calls == ["begin"]
+        assert forecaster.push(_raw_windows(gru_bundle.scaler, rng, 1)[0]) is not None
+        assert calls == ["begin", "finish"]
+
+    @pytest.mark.parametrize("begun", (True, False), ids=("begun", "due"))
+    @pytest.mark.parametrize("vid", ("gru_basic", "lstm_deep", "tr_basic", "lin_basic"))
+    def test_reset_discards_a_begun_run(self, vid, begun, gru_bundle, rng):
+        bundle = _init_bundle(vid, gru_bundle.scaler)
+        forecaster = Forecaster(bundle)
+        for row in _raw_windows(bundle.scaler, rng, 4):
+            forecaster.push(row)
+        if begun:
+            forecaster.advance()  # begun on windows that a gap then cuts off
+        forecaster.reset()
+        calls = _spy_runner(forecaster.runner)
+        rows = _raw_windows(bundle.scaler, rng, 5)
+        got = []
+        for row in rows:
+            forecaster.advance()
+            got.append(forecaster.push(row))
+        assert got == [None] * 4 + [_batch_forecast(bundle, rows)]
+        assert calls == ["begin", "finish"]  # begun afresh on the new windows
 
 
 def _reject_constant(name):

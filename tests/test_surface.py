@@ -5,7 +5,8 @@ name its code reads as a bare name or as an attribute. A public definition
 that nothing in the package reads belongs with the tests (tests/oracles.py,
 tests/op_reference.py) or nowhere. The exemptions are the names the package
 exports (qoecast.__all__), the attributes bench/tracing.py wraps, and
-argparse's `error` hook, which argparse itself calls.
+argparse's `error` hook, which argparse itself calls. Likewise, no module
+imports a name it never reads.
 """
 
 import ast
@@ -41,3 +42,22 @@ def test_every_public_definition_is_read_in_the_package():
     unread = {name: where for name, where in defined.items()
               if name not in read and name not in exempt}
     assert not unread, f"public definitions nothing in the package reads: {unread}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a name bound by an import and never read is left over from a move;
+    # __init__ imports to re-export, and `from __future__` binds nothing
+    unread = []
+    for path in sorted(Path(qoecast.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, f"imported names the module never reads: {unread}"

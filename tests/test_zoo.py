@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from qoecast.errors import (
     ChecksumMismatch,
+    QoecastError,
     ShapeMismatch,
     UnknownVariant,
     VersionMismatch,
@@ -30,6 +33,8 @@ from qoecast.zoo import (
     sinusoidal_positions,
 )
 from oracles import param_count
+
+LASTVALUE = Path(__file__).parent / "data" / "lastvalue.bundle.json"
 
 EXPECTED_VARIANTS = (
     "lstm_basic", "lstm_wide", "lstm_deep",
@@ -343,6 +348,47 @@ class TestBundles:
         save_bundle(b, path)
         back = load_bundle(path)
         assert serialize(back) == serialize(b)
+
+
+# numbers no writer produces, swapped in for one in a bundle's text
+_SWAPS = (b"NaN", b"-Infinity", b"1e400", b"9" * 401, b"true", b"null", b"[]",
+          b"[[1.0, 2.0], [3.0]]", b'"x"', b"{}")
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _mutate(data: bytes, rng) -> bytes:
+    """One seeded mutation: a byte set to any value, a truncation, a span
+    copied elsewhere, or a number swapped for one of _SWAPS."""
+    i, j, k = sorted(rng.integers(len(data), size=3))
+    kind = rng.integers(4)
+    if kind == 0:
+        return data[:i] + bytes([rng.integers(256)]) + data[i + 1:]
+    if kind == 1:
+        return data[:i]
+    if kind == 2:
+        return data[:k] + data[i:j] + data[k:]
+    numbers = list(_NUMBER.finditer(data))
+    m = numbers[rng.integers(len(numbers))]
+    return data[:m.start()] + _SWAPS[rng.integers(len(_SWAPS))] + data[m.end():]
+
+
+def test_mutated_bundles_raise_only_domain_errors_naming_the_file(tmp_path):
+    # 300 fixed mutations of one bundle file: load_bundle returns a bundle
+    # or raises a QoecastError that names the file, never anything else
+    data = LASTVALUE.read_bytes()
+    rng = np.random.default_rng(20)
+    path = tmp_path / "mutant.bundle.json"
+    escaped = []
+    for n in range(300):
+        path.write_bytes(_mutate(data, rng))
+        try:
+            load_bundle(path)
+        except QoecastError as exc:
+            if str(path) not in str(exc):
+                escaped.append(f"mutant {n}: {type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - what the test looks for
+            escaped.append(f"mutant {n}: {type(exc).__name__}: {exc}")
+    assert not escaped, "\n".join(escaped[:10])
 
 
 class TestBundleRunner:
